@@ -20,7 +20,19 @@ from fractions import Fraction
 
 from .errors import ParseError, PiqError
 from .etaq import cusps
-from .ident import IdentityRecord, evaluate_to_bound, parse_corpus, parse_expression, parse_identity
+from .ident import (
+    Add,
+    IdentityRecord,
+    Mul,
+    Neg,
+    Pow,
+    Sqrt,
+    Subst,
+    evaluate_to_bound,
+    parse_corpus,
+    parse_expression,
+    parse_identity,
+)
 from .verify import ProofReport, ProveConfig, check, prove, sturm_bound
 
 EXIT_OK = 0
@@ -130,6 +142,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MATH
 
 
+def _stretch(expr) -> int:
+    """Largest product of nested subst() exponents: how far q -> q^j spreads terms."""
+    if isinstance(expr, Subst):
+        return expr.j * _stretch(expr.child)
+    if isinstance(expr, (Add, Mul)):
+        return max((_stretch(c) for c in expr.children), default=1)
+    if isinstance(expr, (Neg, Pow, Sqrt)):
+        return _stretch(expr.child)
+    return 1
+
+
 def cmd_expand(args) -> int:
     try:
         expr = parse_expression(args.dsl)
@@ -140,11 +163,18 @@ def cmd_expand(args) -> int:
     terms = args.terms
     if cap is not None:
         terms = min(terms, cap)
-    series = evaluate_to_bound(expr, 1)
-    val = series.valuation()
-    start = val if val is not None else Fraction(0)
-    # Step along the arithmetic progression the series actually lives on.
-    nums = [e * series.scale for e, _ in series.items()]
+    # Step along the arithmetic progression the series actually lives on:
+    # widen the window until two nonzero terms show it, the series is exact,
+    # or the window spans eight stretched terms (a zero or constant series).
+    need, reach = Fraction(1), 8 * _stretch(expr)
+    while True:
+        series = evaluate_to_bound(expr, need)
+        val = series.valuation()
+        start = val if val is not None else Fraction(0)
+        nums = [e * series.scale for e, _ in series.items()]
+        if len(nums) >= 2 or series.bound == math.inf or series.bound >= start + reach:
+            break
+        need = 2 * series.bound
     stride = 0
     for n in nums[1:]:
         stride = math.gcd(stride, int(n - nums[0]))

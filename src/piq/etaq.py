@@ -13,23 +13,18 @@ side and directly from Pi-exponent data.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import LevelMismatch, PreconditionViolated
-from .series import ScaledSeries, eta_expansion
+from .series import ScaledSeries
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@functools.lru_cache(maxsize=4096)
-def _eta_power(delta: int, r: int, terms: int) -> ScaledSeries:
-    return eta_expansion(delta, terms).pow(r)
 
 
 def divisors(n: int) -> list[int]:
@@ -158,13 +153,46 @@ class EtaQuotient:
         return Fraction(sum(r for _, r in self.exponents), 2)
 
     def expand(self, terms: int) -> ScaledSeries:
-        """q-expansion: product of eta(delta*z)^r_delta to the requested window."""
-        result = ScaledSeries.one()
-        for delta, r in self.exponents:
-            result = result * _eta_power(delta, r, terms)
+        """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms)).
+
+        Here v = sum r_delta delta / 24 is the valuation.  The product part
+        prod (q^delta; q^delta)_oo^r_delta is a power series in Q = q^g with
+        g = gcd(delta); its coefficients obey the log-derivative recurrence
+        (Knuth, TAOCP vol. 2, 4.7)
+
+            n a_n = -sum_{k=1..n} c_k a_{n-k},
+            c_k = sum_{delta' | k} r_delta delta' sigma(k/delta'),
+
+        over delta' = delta/g, in integer arithmetic with exact division.
+        """
+        if terms < 1:
+            raise ValueError("terms must be >= 1")
         if not self.exponents:
             return ScaledSeries.one()
-        return result
+        deltas = [delta for delta, _ in self.exponents]
+        g = math.gcd(*deltas)
+        window = min(deltas) * terms
+        steps = window // g
+        sigma = [0] * steps
+        for m in range(1, steps):
+            for k in range(m, steps, m):
+                sigma[k] += m
+        c = [0] * steps
+        for delta, r in self.exponents:
+            d = delta // g
+            for m in range(1, (steps - 1) // d + 1):
+                c[m * d] += r * d * sigma[m]
+        a = [0] * steps
+        a[0] = 1
+        for n in range(1, steps):
+            q, rem = divmod(-sum(map(operator.mul, c[1 : n + 1], a[n - 1 :: -1])), n)
+            if rem:
+                raise ArithmeticError(f"eta-product recurrence left a remainder at n={n}")
+            a[n] = q
+        v = Fraction(sum(r * delta for delta, r in self.exponents), 24)
+        step = g * v.denominator
+        nums = {v.numerator + step * n: x for n, x in enumerate(a) if x}
+        return ScaledSeries._from_numerators(v.denominator, nums, v + window)
 
 
 @dataclass(frozen=True)
@@ -397,12 +425,3 @@ def pi_order_at_cusp(p: PiMonomial, c: Cusp, level: int) -> Fraction:
             * (math.gcd(s, 2 * n) ** 2 - math.gcd(s, n) ** 2)
         )
     return Fraction(N, 24 * s * math.gcd(s, N // s)) * total
-
-
-def expand(e: EtaQuotient, terms: int) -> ScaledSeries:
-    return e.expand(terms)
-
-
-def pi_monomial_expand(p: PiMonomial, level: int, terms: int) -> ScaledSeries:
-    """q-expansion of a Pi-monomial through its eta-quotient form."""
-    return pi_to_eta(p, level).expand(terms)

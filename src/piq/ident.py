@@ -470,7 +470,8 @@ def evaluate(expr: Expr, terms: int) -> ScaledSeries:
     if isinstance(expr, Sqrt):
         return evaluate(expr.child, terms).pow(Fraction(1, 2), terms=terms)
     if isinstance(expr, Subst):
-        return evaluate(expr.child, terms).subst_power(expr.j)
+        # q -> q^j stretches the child's window j-fold.
+        return evaluate(expr.child, -(-terms // expr.j)).subst_power(expr.j)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

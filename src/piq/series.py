@@ -20,7 +20,6 @@ representation independent.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
@@ -69,6 +68,14 @@ def _rational_nth_root(c: Fraction, ell: int):
     return Fraction(num, den)
 
 
+def _top_numerator(bound, scale: int):
+    """Largest n with n/scale below the bound, or None for an exact series."""
+    if bound == INF:
+        return None
+    blim = bound * scale
+    return (blim.numerator - 1) // blim.denominator
+
+
 class ScaledSeries:
     """Immutable truncated series in q^(1/D) with exact rational coefficients."""
 
@@ -82,9 +89,7 @@ class ScaledSeries:
         bound = bound if bound == INF else _frac(bound)
         if bound != INF:
             # Drop any slot at or beyond the bound: it is not knowledge.
-            blim = bound * scale
-            n_max = (blim.numerator - 1) // blim.denominator
-            cut = n_max - offset + 1
+            cut = _top_numerator(bound, scale) - offset + 1
             if cut < len(coeffs):
                 coeffs = coeffs[: max(cut, 0)]
         coeffs = [_frac(c) for c in coeffs]
@@ -278,10 +283,13 @@ class ScaledSeries:
         if not isinstance(other, ScaledSeries):
             return NotImplemented
         bound = min(self._bound, other._bound)
-        acc: dict[Fraction, Fraction] = dict(self.items())
-        for e, c in other.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return ScaledSeries.from_terms(acc, bound)
+        scale = math.lcm(self._scale, other._scale)
+        n_max = _top_numerator(bound, scale)
+        acc: dict[int, Fraction] = {}
+        for n, c in self._num_items(scale) + other._num_items(scale):
+            if n_max is None or n <= n_max:
+                acc[n] = acc[n] + c if n in acc else c
+        return ScaledSeries._from_numerators(scale, acc, bound)
 
     __radd__ = __add__
 
@@ -334,11 +342,7 @@ class ScaledSeries:
         bound = min(va + other._bound, vb + self._bound)
         if not a_items or not b_items:
             return ScaledSeries.zero(bound)
-        if bound == INF:
-            n_max = None
-        else:
-            blim = bound * scale
-            n_max = (blim.numerator - 1) // blim.denominator
+        n_max = _top_numerator(bound, scale)
         # Integer fast path: exact coefficients are usually plain integers.
         if all(c.denominator == 1 for _, c in a_items) and all(
             c.denominator == 1 for _, c in b_items
@@ -536,7 +540,6 @@ def psi_expansion(terms: int) -> ScaledSeries:
     return ScaledSeries.from_terms(acc, terms)
 
 
-@functools.lru_cache(maxsize=1024)
 def eta_expansion(delta: int, terms: int) -> ScaledSeries:
     """Expansion of eta(delta*z): q^(delta/24) times the pentagonal-number series.
 

@@ -408,15 +408,9 @@ def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
     if not mono.exponents:
         return ScaledSeries.one()
     level = 2 * math.lcm(*mono.indices())
-    quotient = pi_to_eta(mono, level)
+    # The expansion is known past valuation + t >= min_bound + 4.
     t = max(8, math.ceil(_frac(min_bound) - mono.valuation) + 4)
-    while True:
-        # Quantized windows keep the eta-power cache hot across monomials.
-        t = -(-t // 32) * 32
-        s = quotient.expand(t)
-        if s.bound == INF or s.bound >= min_bound:
-            return s
-        t += max(4, math.ceil(_frac(min_bound) - s.bound) + 2)
+    return pi_to_eta(mono, level).expand(t)
 
 
 def _term_series(t: RTerm, min_bound) -> ScaledSeries:

@@ -1,3 +1,5 @@
+import pytest
+
 import piq
 from piq.cli import main
 
@@ -28,6 +30,20 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "pi(1)", "--terms", "5")
         assert code == 0
         assert out.splitlines() == ["1/4 1", "5/4 2", "9/4 1", "13/4 2", "17/4 2"]
+
+    @pytest.mark.parametrize(
+        "dsl,terms,lines",
+        [
+            ("subst(pi(1),500)", 3, ["125 1", "625 2", "1125 1"]),
+            ("subst(pi(1),2000)", 2, ["500 1", "2500 2"]),
+            ("pi(1)^2*subst(pi(3),7)", 5, ["23/4 1", "27/4 4", "31/4 6", "35/4 8", "39/4 13"]),
+            ("3", 3, ["0 3", "1 0", "2 0"]),
+        ],
+    )
+    def test_stride_of_substituted_series(self, capsys, dsl, terms, lines):
+        code, out, _ = run(capsys, "expand", dsl, "--terms", str(terms))
+        assert code == 0
+        assert out.splitlines() == lines
 
     def test_bad_dsl_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "pi(", "--terms", "3")

@@ -22,7 +22,7 @@ from piq.etaq import (
     pi_order_at_cusp,
     pi_to_eta,
 )
-from piq.series import ScaledSeries, psi_expansion
+from piq.series import ScaledSeries, eta_expansion, psi_expansion
 
 
 def brute_jacobi(a, n):
@@ -193,7 +193,46 @@ class TestIndex:
         assert index_gamma0(level) == value
 
 
+def _eta_power_product(e: EtaQuotient, terms: int) -> ScaledSeries:
+    """Reference: multiply the truncated powers eta(delta*z)^r_delta one by one."""
+    out = ScaledSeries.one()
+    for delta, r in e.exponents:
+        out = out * eta_expansion(delta, terms).pow(r)
+    return out
+
+
+def _fields(s: ScaledSeries):
+    return s.scale, s.offset, s.coeffs, s.bound
+
+
 class TestExpand:
+    @pytest.mark.parametrize(
+        "level,exponents,terms",
+        [
+            (72, {1: -9, 8: 4, 72: 9}, 1),  # T = 1 at the top level
+            (72, {2: 5, 6: -3, 18: 2}, 17),  # gcd(delta) = 2
+            (36, {9: -4, 18: 7, 36: -1}, 6),  # gcd(delta) = 9
+            (1, {1: 24}, 12),  # the discriminant function
+            (2, {1: -2, 2: 4}, 1),
+        ],
+    )
+    def test_kernel_matches_eta_power_product(self, level, exponents, terms):
+        e = EtaQuotient.make(level, exponents)
+        assert _fields(e.expand(terms)) == _fields(_eta_power_product(e, terms))
+
+    def test_kernel_matches_eta_power_product_seeded(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            level = rng.randint(2, 72)
+            ds = divisors(level)
+            picks = rng.sample(ds, rng.randint(1, min(4, len(ds))))
+            exps = {d: rng.choice([r for r in range(-9, 10) if r]) for d in picks}
+            terms = rng.randint(1, 24)
+            e = EtaQuotient.make(level, exps)
+            assert _fields(e.expand(terms)) == _fields(_eta_power_product(e, terms)), (
+                level, exps, terms
+            )
+
     def test_pi_q_route(self):
         got = pi_to_eta(PiMonomial.make({1: 1}), 2).expand(40)
         want = ScaledSeries.monomial(F(1, 4)) * (psi_expansion(40) * psi_expansion(40))

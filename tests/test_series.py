@@ -57,6 +57,27 @@ class TestAdd:
         b = S.from_terms({0: 1}, 9)
         assert (a + b).bound == 5
 
+    def test_mixed_thirds_and_halves(self):
+        a = S.from_terms({F(1, 3): 2, F(4, 3): 1}, 4)
+        b = S.from_terms({F(1, 2): -1, F(4, 3): 5}, 3)
+        c = a + b
+        assert (c.scale, c.bound) == (6, 3)
+        assert list(c.items()) == [(F(1, 3), F(2)), (F(1, 2), F(-1)), (F(4, 3), F(6))]
+
+    def test_full_cancellation_keeps_smaller_bound(self):
+        a = S.from_terms({F(1, 4): 3, F(5, 4): F(1, 2)}, 7)
+        b = S.from_terms({F(1, 4): -3, F(5, 4): F(-1, 2)}, F(9, 2))
+        c = a + b
+        assert c.is_zero() and c.bound == F(9, 2)
+        assert (c.scale, c.offset, c.coeffs) == (1, 0, ())
+
+    def test_terms_at_or_past_bound_dropped(self):
+        exact = S.from_terms({0: 1, 3: 2, 5: 7, 40: 1}, INF)
+        trunc = S.from_terms({F(1, 2): 1}, 3)
+        c = exact + trunc
+        assert c.bound == 3
+        assert list(c.items()) == [(F(0), F(1)), (F(1, 2), F(1))]
+
 
 class TestMul:
     def test_difference_of_squares(self):
@@ -230,6 +251,33 @@ def test_ring_axioms_on_samples(a, b, c):
     assert ((a + b) + c).agrees_with(a + (b + c))
     assert (a * (b + c)).agrees_with(a * b + a * c)
     assert (a * b).agrees_with(b * a)
+
+
+@st.composite
+def _lattice_series(draw):
+    scale = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    entries = draw(
+        st.dictionaries(
+            st.integers(min_value=-6, max_value=24).map(lambda n: F(n, scale)),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            max_size=6,
+        )
+    )
+    bound = draw(st.sampled_from([INF, F(1, 2), F(7, 3), F(3), F(9, 2)]))
+    return S.from_terms(entries, bound)
+
+
+@given(_lattice_series(), _lattice_series())
+@settings(max_examples=80, deadline=None)
+def test_add_matches_from_terms_on_merged_dict(a, b):
+    merged = dict(a.items())
+    for e, c in b.items():
+        merged[e] = merged.get(e, F(0)) + c
+    want = S.from_terms(merged, min(a.bound, b.bound))
+    got = a + b
+    assert (got.scale, got.offset, got.coeffs, got.bound) == (
+        want.scale, want.offset, want.coeffs, want.bound
+    )
 
 
 @given(_series(), _series(), st.integers(min_value=1, max_value=4))
