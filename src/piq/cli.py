@@ -167,19 +167,23 @@ def cmd_expand(args) -> int:
     # widen the window until two nonzero terms show it, the series is exact,
     # or the window spans eight stretched terms (a zero or constant series).
     need, reach = Fraction(1), 8 * _stretch(expr)
-    while True:
-        series = evaluate_to_bound(expr, need)
-        val = series.valuation()
-        start = val if val is not None else Fraction(0)
-        nums = [e * series.scale for e, _ in series.items()]
-        if len(nums) >= 2 or series.bound == math.inf or series.bound >= start + reach:
-            break
-        need = 2 * series.bound
-    stride = 0
-    for n in nums[1:]:
-        stride = math.gcd(stride, int(n - nums[0]))
-    step = Fraction(stride, series.scale) if stride else Fraction(1)
-    series = evaluate_to_bound(expr, start + step * terms)
+    try:
+        while True:
+            series = evaluate_to_bound(expr, need)
+            val = series.valuation()
+            start = val if val is not None else Fraction(0)
+            nums = [e * series.scale for e, _ in series.items()]
+            if len(nums) >= 2 or series.bound == math.inf or series.bound >= start + reach:
+                break
+            need = 2 * series.bound
+        stride = 0
+        for n in nums[1:]:
+            stride = math.gcd(stride, int(n - nums[0]))
+        step = Fraction(stride, series.scale) if stride else Fraction(1)
+        series = evaluate_to_bound(expr, start + step * terms)
+    except PiqError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MATH
     for i in range(terms):
         e = start + step * i
         c = series.coefficient(e)

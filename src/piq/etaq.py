@@ -20,11 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import LevelMismatch, PreconditionViolated
-from .series import ScaledSeries
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import ScaledSeries, _frac
 
 
 def divisors(n: int) -> list[int]:

@@ -32,11 +32,7 @@ from typing import Iterable, Optional, Union
 from .errors import NotPolynomializable, ParseError, SemanticError
 from .etaq import PiMonomial, pi_to_eta
 from .quasimod import LambertSpec, expand_lambert
-from .series import INF, ScaledSeries
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import INF, ScaledSeries, _frac
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,7 @@ def to_dsl(e: Expr) -> str:
             if isinstance(c, Neg):
                 parts.append(("- " if i else "-") + _mul_operand(c.child))
             else:
-                parts.append(("+ " if i else "") + _mul_operand_add(c))
+                parts.append(("+ " if i else "") + to_dsl(c))
         return " ".join(parts)
     if isinstance(e, Mul):
         return "*".join(_mul_operand(c) for c in e.children)
@@ -171,11 +167,6 @@ def _mul_operand(c: Expr) -> str:
     s = to_dsl(c)
     if isinstance(c, (Add, Neg)) or (isinstance(c, Const) and c.value < 0):
         return f"({s})"
-    return s
-
-
-def _mul_operand_add(c: Expr) -> str:
-    s = to_dsl(c)
     return s
 
 
@@ -513,34 +504,51 @@ class SqrtAtom:
 
 @dataclass(frozen=True)
 class Term:
-    """coef * PiMonomial * (Lambert atoms) * (at most one sqrt radical)."""
+    """coef * PiMonomial * (atoms) * (at most one sqrt radical).
+
+    Flattening fills the atom slot with Lambert atoms (``LambertSpec``); the
+    prover rewrites them into certified ``E2Combo``/``E4Combo`` factors, and
+    ``weight`` and ``describe`` apply to such reduced terms.
+    """
 
     coef: Fraction
     pi: PiMonomial
-    lamberts: tuple[LambertSpec, ...] = ()
+    lamberts: tuple = ()
     sqrts: tuple[SqrtAtom, ...] = ()
 
     @property
-    def sqrt_flag(self) -> bool:
-        return bool(self.sqrts)
+    def weight(self) -> Fraction:
+        w = self.pi.weight + sum(a.weight for a in self.lamberts)
+        for atom in self.sqrts:
+            w += atom.inner[0].pi.weight / 2
+        return w
+
+    def describe(self) -> str:
+        bits = [str(self.coef)]
+        bits.extend(f"Pi[{n}]^{k}" for n, k in self.pi.exponents)
+        bits.extend(a.describe() for a in self.lamberts)
+        bits.extend("sqrt(...)" for _ in self.sqrts)
+        return " * ".join(bits)
 
 
-def _lam_key(s: LambertSpec):
-    return (s.kind, s.a, s.b)
+def _key(atom):
+    return atom.key()
 
 
 def _term_identity(t: Term):
-    return (
-        t.pi.exponents,
-        tuple(_lam_key(s) for s in t.lamberts),
-        tuple(a.key() for a in t.sqrts),
-    )
+    keys = tuple(a.key() for a in t.lamberts)
+    # Reduced terms compare their E2 factors before their E4 factors.  Atoms
+    # are sorted and an E4 key starts with its weight 4, so the E4 factors
+    # are a suffix; Lambert keys all stay in the first part.
+    n = len(keys)
+    while n and keys[n - 1][0] == 4:
+        n -= 1
+    return (t.pi.exponents, keys[:n], keys[n:], tuple(a.key() for a in t.sqrts))
 
 
 def ts_make(terms: Iterable[Term]) -> tuple:
     """Canonical term sum: merged like terms, zeros dropped, sorted."""
     acc: dict = {}
-    order: dict = {}
     for t in terms:
         k = _term_identity(t)
         if k in acc:
@@ -588,8 +596,8 @@ def _monomial_sqrt(t: Term) -> Optional[Term]:
 def _term_mul(t1: Term, t2: Term) -> list[Term]:
     coef = t1.coef * t2.coef
     pi = t1.pi * t2.pi
-    lamberts = tuple(sorted(t1.lamberts + t2.lamberts, key=_lam_key))
-    atoms = sorted(t1.sqrts + t2.sqrts, key=lambda a: a.key())
+    lamberts = tuple(sorted(t1.lamberts + t2.lamberts, key=_key))
+    atoms = sorted(t1.sqrts + t2.sqrts, key=_key)
     factors: list[tuple] = []  # extra TermSum factors from collapsed radicals
     pending: Optional[SqrtAtom] = None
     for atom in atoms:
@@ -651,7 +659,7 @@ def ts_subst(a: tuple, j: int) -> tuple:
         Term(
             t.coef,
             t.pi.subst(j),
-            tuple(sorted((s.scaled(j) for s in t.lamberts), key=_lam_key)),
+            tuple(sorted((s.scaled(j) for s in t.lamberts), key=_key)),
             tuple(atom.subst(j) for atom in t.sqrts),
         )
         for t in a
@@ -787,12 +795,13 @@ class PolyForm:
     denominator: tuple = TS_ONE
 
 
-def net_clearing_monomial(terms: tuple) -> PiMonomial:
+def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> PiMonomial:
     """Monomial multiplier making every exponent nonnegative with no common factor.
 
-    Negative per-variable minima are lifted to zero; positive per-variable
-    minima shared by all terms are cancelled away, so the cleared sum is the
-    least monomial multiple of the input with nonnegative exponents.
+    Negative per-variable minima are lifted to zero; with ``cancel_common``
+    positive per-variable minima shared by all terms are cancelled away, so
+    the cleared sum is the least monomial multiple of the input with
+    nonnegative exponents.
     """
     mins: dict[int, Fraction] = {}
     first = True
@@ -807,22 +816,17 @@ def net_clearing_monomial(terms: tuple) -> PiMonomial:
             for n, k in exps.items():
                 if n not in mins:
                     mins[n] = min(k, Fraction(0))
+    if not cancel_common:
+        mins = {n: k for n, k in mins.items() if k < 0}
     return PiMonomial.make({n: -k for n, k in mins.items() if k != 0})
-
-
-def clear_terms(terms: tuple) -> tuple[tuple, PiMonomial]:
-    m = net_clearing_monomial(terms)
-    if not m.exponents:
-        return terms, m
-    return ts_mul(terms, (Term(Fraction(1), m),)), m
 
 
 def normalize_polynomial(rec: IdentityRecord) -> PolyForm:
     """Move everything to one side, clear denominators and negative Pi powers."""
     fl, fr = _build(rec.lhs), _build(rec.rhs)
     f = fl + (-fr)
-    terms, clearing = clear_terms(f.num)
-    return PolyForm(terms=terms, clearing=clearing, denominator=f.den)
+    m = net_clearing_monomial(f.num)
+    return PolyForm(terms=ts_mul(f.num, (Term(Fraction(1), m),)), clearing=m, denominator=f.den)
 
 
 def build_sides(rec: IdentityRecord) -> tuple[tuple, tuple, PiMonomial]:

@@ -8,11 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InsufficientPrecision
-from .series import ScaledSeries
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import ScaledSeries, _frac
 
 
 @dataclass(frozen=True)
@@ -111,10 +107,6 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:
             v[pc] = -s / a[i][pc]
         basis.append(_normalize_vector(v))
     return basis
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.cols - len(kernel_basis(m))
 
 
 def series_window_matrix(columns: Sequence[ScaledSeries], rows: int) -> RationalMatrix:

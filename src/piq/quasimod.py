@@ -15,11 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional
 
-from .series import ScaledSeries
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import ScaledSeries, _frac
 
 
 def sigma(s: int, n: int) -> int:
@@ -70,6 +66,10 @@ class LambertSpec:
         if self.kind in ("LAM", "LAM4"):
             return LambertSpec(self.kind, self.a * j, self.b * j)
         return LambertSpec(self.kind, self.a * j)
+
+    def key(self):
+        """Sort key among the atoms of a term."""
+        return (self.kind, self.a, self.b)
 
     def __str__(self):
         if self.kind == "LAM":
@@ -138,6 +138,7 @@ class E2Combo:
 
     terms: tuple[tuple[int, Fraction], ...]
     constant: Fraction = Fraction(0)
+    weight = 2
 
     @classmethod
     def make(cls, terms: Mapping[int, object], constant=0) -> "E2Combo":
@@ -169,6 +170,14 @@ class E2Combo:
     def drop_constant(self) -> "E2Combo":
         return E2Combo(self.terms, Fraction(0))
 
+    def key(self):
+        """Sort key among the atoms of a term: weight, then the E2 terms."""
+        return (self.weight, self.terms)
+
+    def describe(self) -> str:
+        inner = " + ".join(f"{a}*E2({d}z)" for d, a in self.terms)
+        return f"({self.constant} + {inner})" if self.constant else f"({inner})"
+
     @property
     def level(self) -> int:
         return lcm(*(d for d, _ in self.terms)) if self.terms else 1
@@ -190,6 +199,7 @@ class E4Combo:
     """sum a_m * E4(m z); holomorphic weight-4 form on Gamma_0(lcm of scales)."""
 
     terms: tuple[tuple[int, Fraction], ...]
+    weight = 4
 
     @classmethod
     def make(cls, terms: Mapping[int, object]) -> "E4Combo":
@@ -209,6 +219,13 @@ class E4Combo:
 
     def scaled(self, j: int) -> "E4Combo":
         return E4Combo.make({m * j: a for m, a in self.terms})
+
+    def key(self):
+        """Sort key among the atoms of a term: weight, then the E4 terms."""
+        return (self.weight, self.terms)
+
+    def describe(self) -> str:
+        return "(" + " + ".join(f"{a}*E4({m}z)" for m, a in self.terms) + ")"
 
     @property
     def level(self) -> int:

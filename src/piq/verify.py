@@ -4,10 +4,14 @@ The pipeline for :func:`prove`:
 
 1.  Flatten both sides to cleared polynomial term sums over a common
     denominator (quotients cross-multiplied, negative Pi powers lifted).
-2.  Rewrite Lambert atoms: the registered pair rule collapses quartic
-    Lambert pairs to the cube sum, the cube sum becomes an E4 difference,
-    and the remaining patterns become E2 combinations whose constants are
-    split off and merged with the other constant terms.
+    The prover works on these ``ident.Term`` sums and their ``ts_*``
+    operations throughout; there is no second term algebra.
+2.  Rewrite Lambert atoms in place: the registered rules of
+    ``quasimod.combo_rules`` collapse quartic Lambert pairs to the cube sum
+    and turn the cube sum into an E4 difference, and the remaining patterns
+    become E2 combinations whose constants are split off and merged with
+    the other constant terms.  A reduced term is a ``Term`` whose atom slot
+    holds these certified ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
     signature (at most two groups after an optional radical multiplication
     that merges reciprocal radicals), each group sum is squared, and a final
@@ -44,28 +48,22 @@ from .etaq import (
 )
 from .ident import (
     IdentityRecord,
-    SqrtAtom,
     Term,
     build_sides,
+    evaluate,
+    net_clearing_monomial,
     parse_expression,
+    ts_add,
+    ts_make,
+    ts_mul,
+    ts_neg,
+    ts_subst,
     _build,
+    _key,
     _single_pi_term,
 )
-from .quasimod import (
-    RULE_CUBE_SUM_TO_E4,
-    RULE_QUARTIC_PAIR,
-    E2Combo,
-    LambertSpec,
-    is_modular_combo,
-    reduce_to_e2,
-    rule_cube_sum,
-    rule_quartic_pair,
-)
-from .series import INF, ScaledSeries
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .quasimod import E2Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
+from .series import INF, ScaledSeries, _frac
 
 
 def sturm_bound(level: int, weight: int) -> int:
@@ -91,8 +89,12 @@ def root_match(f: ScaledSeries, g: ScaledSeries, ell: int = 2) -> bool:
 class ProveConfig:
     max_clear_weight: int = 16
     max_coefficients: int = 2000
-    root_window: int = 8
-    fallback_check_terms: int = 60
+
+
+# First window of the leading-term search on an unsquared side.
+ROOT_WINDOW = 8
+# Coefficients compared when an identity cannot be certified.
+FALLBACK_CHECK_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -154,144 +156,16 @@ class _Uncertifiable(PiqError):
 
 
 # ---------------------------------------------------------------------------
-# reduced terms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RTerm:
-    """coef * Pi-monomial * (modular E2 parts) * (E4 sums) * (radicals)."""
-
-    coef: Fraction
-    pi: PiMonomial
-    e2: tuple[E2Combo, ...] = ()
-    e4: tuple[E4Combo, ...] = ()
-    sqrts: tuple[SqrtAtom, ...] = ()
-
-    @property
-    def weight(self) -> Fraction:
-        w = self.pi.weight + 2 * len(self.e2) + 4 * len(self.e4)
-        for atom in self.sqrts:
-            inner = atom.inner[0]
-            w += inner.pi.weight / 2
-        return w
-
-    def describe(self) -> str:
-        bits = [str(self.coef)]
-        for n, k in self.pi.exponents:
-            bits.append(f"Pi[{n}]^{k}")
-        for c in self.e2:
-            inner = " + ".join(f"{a}*E2({d}z)" for d, a in c.terms)
-            bits.append(f"({inner})")
-        for c in self.e4:
-            inner = " + ".join(f"{a}*E4({m}z)" for m, a in c.terms)
-            bits.append(f"({inner})")
-        for a in self.sqrts:
-            bits.append("sqrt(...)")
-        return " * ".join(bits)
-
-
-def _rkey(t: RTerm):
-    return (
-        t.pi.exponents,
-        tuple(c.terms for c in t.e2),
-        tuple(c.terms for c in t.e4),
-        tuple(a.key() for a in t.sqrts),
-    )
-
-
-def rts_make(terms) -> tuple[RTerm, ...]:
-    acc: dict = {}
-    for t in terms:
-        k = _rkey(t)
-        if k in acc:
-            acc[k] = RTerm(acc[k].coef + t.coef, t.pi, t.e2, t.e4, t.sqrts)
-        else:
-            acc[k] = t
-    out = [t for t in acc.values() if t.coef != 0]
-    out.sort(key=_rkey)
-    return tuple(out)
-
-
-def rts_neg(terms) -> tuple[RTerm, ...]:
-    return tuple(RTerm(-t.coef, t.pi, t.e2, t.e4, t.sqrts) for t in terms)
-
-
-def _combo_sort_key(c):
-    return c.terms
-
-
-def _rterm_mul(t1: RTerm, t2: RTerm) -> list[RTerm]:
-    from .ident import ts_mul as _ts_mul
-
-    coef = t1.coef * t2.coef
-    pi = t1.pi * t2.pi
-    e2 = tuple(sorted(t1.e2 + t2.e2, key=_combo_sort_key))
-    e4 = tuple(sorted(t1.e4 + t2.e4, key=_combo_sort_key))
-    atoms = sorted(t1.sqrts + t2.sqrts, key=lambda a: a.key())
-    extra: list[tuple] = []
-    pending = None
-    for atom in atoms:
-        if pending is None:
-            pending = atom
-            continue
-        if pending == atom:
-            extra.append(pending.inner)
-            pending = None
-            continue
-        pending = SqrtAtom(_ts_mul(pending.inner, atom.inner))
-        if len(pending.inner) == 1:
-            from .ident import _monomial_sqrt
-
-            m = _monomial_sqrt(pending.inner[0])
-            if m is not None:
-                coef *= m.coef
-                pi = pi * m.pi
-                pending = None
-        elif not pending.inner:
-            return []
-    out = [RTerm(coef, pi, e2, e4, (pending,) if pending is not None else ())]
-    for inner in extra:
-        expanded = []
-        for rt in out:
-            for it in inner:
-                if it.lamberts:
-                    raise _Uncertifiable("Lambert series under a radical")
-                expanded.append(
-                    RTerm(rt.coef * it.coef, rt.pi * it.pi, rt.e2, rt.e4, rt.sqrts + it.sqrts)
-                )
-        out = expanded
-    return out
-
-
-def rts_mul(a, b) -> tuple[RTerm, ...]:
-    out: list[RTerm] = []
-    for t1 in a:
-        for t2 in b:
-            out.extend(_rterm_mul(t1, t2))
-    return rts_make(out)
-
-
-def rts_subst(terms, j: int) -> tuple[RTerm, ...]:
-    return rts_make(
-        RTerm(
-            t.coef,
-            t.pi.subst(j),
-            tuple(sorted((c.scaled(j) for c in t.e2), key=_combo_sort_key)),
-            tuple(sorted((c.scaled(j) for c in t.e4), key=_combo_sort_key)),
-            tuple(a.subst(j) for a in t.sqrts),
-        )
-        for t in terms
-    )
-
-
-# ---------------------------------------------------------------------------
 # Lambert reduction
 # ---------------------------------------------------------------------------
 
 
 def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
-    """Collapse 6*LAM4(2b,b) + LAM(2b,b) pairs into cube-sum atoms."""
+    """Collapse term pairs that a registered pair rule turns into one atom.
+
+    A term's first LAM4 atom pairs with the term carrying LAM at the same
+    parameters in its place; ``combo_rules`` decides whether the two collapse.
+    """
     work = list(terms)
     changed = True
     while changed:
@@ -301,22 +175,19 @@ def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
             if not quartics:
                 continue
             spec4 = quartics[0]
-            dl3 = rule_quartic_pair(spec4, LambertSpec("LAM", spec4.a, spec4.b))
-            if dl3 is None:
-                continue
+            spec2 = LambertSpec("LAM", spec4.a, spec4.b)
             rest = list(t.lamberts)
             rest.remove(spec4)
-            partner_lams = tuple(sorted(rest + [LambertSpec("LAM", spec4.a, spec4.b)], key=lambda s: (s.kind, s.a, s.b)))
+            partner_lams = tuple(sorted(rest + [spec2], key=_key))
             for j, u in enumerate(work):
-                if j == i or u.pi != t.pi or u.sqrts != t.sqrts:
+                if j == i or u.pi != t.pi or u.sqrts != t.sqrts or u.lamberts != partner_lams:
                     continue
-                if u.lamberts == partner_lams and t.coef == 6 * u.coef:
-                    merged_lams = tuple(
-                        sorted(rest + [dl3], key=lambda s: (s.kind, s.a, s.b))
-                    )
-                    work[i] = Term(u.coef, t.pi, merged_lams, t.sqrts)
+                hit = combo_rules([(t.coef, spec4), (u.coef, spec2)])
+                if hit is not None:
+                    [(coef, merged)], rule = hit
+                    work[i] = Term(coef, t.pi, tuple(sorted(rest + [merged], key=_key)), t.sqrts)
                     del work[j]
-                    citations.append(RULE_QUARTIC_PAIR)
+                    citations.append(rule)
                     changed = True
                     break
             if changed:
@@ -324,7 +195,7 @@ def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
     return work
 
 
-def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[RTerm, ...], list[str]]:
+def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
     """Rewrite Lambert atoms to certified combinations and split constants."""
     citations: list[str] = []
     work = _apply_pair_rule(terms, citations)
@@ -333,11 +204,12 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[RTerm, ...], list[str]]:
     staged = []  # (coef, pi, [E2Combo with const], [E4Combo], sqrts)
     for t in work:
         e2s: list[E2Combo] = []
-        e4s: list[E4Combo] = []
+        e4s: list = []
         for spec in t.lamberts:
-            if spec.kind == "DL3":
-                e4s.append(rule_cube_sum(spec))
-                citations.append(RULE_CUBE_SUM_TO_E4)
+            hit = combo_rules([(1, spec)])
+            if hit is not None:
+                e4s.append(hit[0])
+                citations.append(hit[1])
                 continue
             combo = reduce_to_e2(spec)
             if combo is None:
@@ -357,7 +229,7 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[RTerm, ...], list[str]]:
         coef, pi, e2s, e4s, sqrts = entry
         key = (
             pi.exponents,
-            tuple(c.terms for c in sorted(e4s, key=_combo_sort_key)),
+            tuple(sorted(c.key() for c in e4s)),
             tuple(a.key() for a in sqrts),
             len(e2s),
         )
@@ -374,7 +246,7 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[RTerm, ...], list[str]]:
             folded.extend(entries)
 
     # Split combination constants into plain terms and keep modular parts.
-    out: list[RTerm] = []
+    out: list[Term] = []
     for coef, pi, e2s, e4s, sqrts in folded:
         branches = [(coef, [])]
         for combo in e2s:
@@ -386,16 +258,8 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[RTerm, ...], list[str]]:
                     nxt.append((c * combo.constant, mods))
             branches = nxt
         for c, mods in branches:
-            out.append(
-                RTerm(
-                    c,
-                    pi,
-                    tuple(sorted(mods, key=_combo_sort_key)),
-                    tuple(sorted(e4s, key=_combo_sort_key)),
-                    tuple(sqrts),
-                )
-            )
-    return rts_make(out), sorted(set(citations))
+            out.append(Term(c, pi, tuple(sorted(mods + e4s, key=_key)), tuple(sqrts)))
+    return ts_make(out), sorted(set(citations))
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +277,10 @@ def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
     return pi_to_eta(mono, level).expand(t)
 
 
-def _term_series(t: RTerm, min_bound) -> ScaledSeries:
+def _term_series(t: Term, min_bound) -> ScaledSeries:
     s = _pi_series(t.pi, min_bound) * t.coef
     window = max(1, math.ceil(_frac(min_bound)))
-    for combo in t.e2:
-        s = s * combo.expand(window)
-    for combo in t.e4:
+    for combo in t.lamberts:
         s = s * combo.expand(window)
     for atom in t.sqrts:
         inner = ScaledSeries.zero()
@@ -450,36 +312,8 @@ def rts_series(terms, min_bound) -> ScaledSeries:
 # ---------------------------------------------------------------------------
 
 
-def _signature(t: RTerm):
+def _signature(t: Term):
     return tuple(a.key() for a in t.sqrts)
-
-
-def _clear_rterms(lhs, rhs, cancel_common: bool = True) -> tuple[tuple, tuple, PiMonomial]:
-    """Shift both sides by the net monomial making all Pi exponents >= 0.
-
-    With ``cancel_common`` a positive monomial factor shared by every term is
-    divided out as well; a record carrying an explicit clearing hint keeps it.
-    """
-    mins: dict[int, Fraction] = {}
-    first = True
-    for t in list(lhs) + list(rhs):
-        exps = t.pi.exponent_map()
-        if first:
-            mins = dict(exps)
-            first = False
-        else:
-            for n in list(mins):
-                mins[n] = min(mins[n], exps.get(n, Fraction(0)))
-            for n, k in exps.items():
-                if n not in mins:
-                    mins[n] = min(k, Fraction(0))
-    if not cancel_common:
-        mins = {n: k for n, k in mins.items() if k < 0}
-    net = PiMonomial.make({n: -k for n, k in mins.items() if k != 0})
-    if not net.exponents:
-        return tuple(lhs), tuple(rhs), net
-    mult = (RTerm(Fraction(1), net),)
-    return rts_mul(lhs, mult), rts_mul(rhs, mult), net
 
 
 def _search_clearing(lhs, rhs, level: int, max_weight: int):
@@ -556,7 +390,7 @@ def _term_facts(terms, level: int) -> tuple[TermFacts, ...]:
         orders = tuple(
             (c.label(level), str(pi_order_at_cusp(t.pi, c, level))) for c in cusp_list
         )
-        combo_levels = tuple(c.level for c in t.e2) + tuple(c.level for c in t.e4)
+        combo_levels = tuple(c.level for c in t.lamberts)
         facts.append(TermFacts(t.describe(), t.weight, orders, combo_levels))
     return tuple(facts)
 
@@ -572,7 +406,7 @@ def prove(rec: IdentityRecord, config: ProveConfig | None = None) -> ProofReport
     try:
         return _prove(rec, cfg)
     except _Uncertifiable as exc:
-        fallback = check(rec, cfg.fallback_check_terms)
+        fallback = check(rec, FALLBACK_CHECK_TERMS)
         if fallback.verdict == "REFUTED":
             return fallback
         detail = str(exc)
@@ -594,13 +428,8 @@ def prove(rec: IdentityRecord, config: ProveConfig | None = None) -> ProofReport
 def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     lhs_t, rhs_t, _ = build_sides(rec)
     if rec.hints.clear:
-        mono = _parse_clear_hint(rec.hints.clear)
-        from .ident import ts_mul as _ts_mul
-
-        mt = (Term(Fraction(1), mono),)
-        lhs_t, rhs_t = _ts_mul(lhs_t, mt), _ts_mul(rhs_t, mt)
-
-    from .ident import ts_add, ts_neg
+        mt = (Term(Fraction(1), _parse_clear_hint(rec.hints.clear)),)
+        lhs_t, rhs_t = ts_mul(lhs_t, mt), ts_mul(rhs_t, mt)
 
     if not ts_add(lhs_t, ts_neg(rhs_t)):
         return ProofReport(
@@ -626,8 +455,8 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         while len(sigs) > 2 and attempts < 3:
             target = next(s for s in sigs if s)
             carrier = next(t for t in list(lhs) + list(rhs) if _signature(t) == target)
-            mult = (RTerm(Fraction(1), PiMonomial.one(), (), (), carrier.sqrts),)
-            lhs, rhs = rts_mul(lhs, mult), rts_mul(rhs, mult)
+            mult = (Term(Fraction(1), PiMonomial.one(), (), carrier.sqrts),)
+            lhs, rhs = ts_mul(lhs, mult), ts_mul(rhs, mult)
             citations.append("radical-merge multiplication")
             sigs = sorted({_signature(t) for t in list(lhs) + list(rhs)})
             attempts += 1
@@ -635,27 +464,29 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
             raise _Uncertifiable("radical signatures exceed one squaring round")
         if len(sigs) == 1:
             # Every term carries the same radical: divide it out.
-            atomless = lambda ts: rts_make(
-                RTerm(t.coef, t.pi, t.e2, t.e4, ()) for t in ts
-            )
+            atomless = lambda ts: ts_make(Term(t.coef, t.pi, t.lamberts) for t in ts)
             lhs, rhs = atomless(lhs), atomless(rhs)
             citations.append("common radical factor cancelled")
         else:
             sig_a, sig_b = sigs
-            diff = rts_make(list(lhs) + list(rts_neg(rhs)))
+            diff = ts_add(lhs, ts_neg(rhs))
             g1 = tuple(t for t in diff if _signature(t) == sig_a)
             g2 = tuple(t for t in diff if _signature(t) == sig_b)
-            root_pair = (g1, rts_neg(g2))
-            lhs, rhs = rts_mul(g1, g1), rts_mul(g2, g2)
+            root_pair = (g1, ts_neg(g2))
+            lhs, rhs = ts_mul(g1, g1), ts_mul(g2, g2)
             squared = True
             citations.append("one squaring round (radical elimination)")
 
-    lhs, rhs, net_clear = _clear_rterms(lhs, rhs, cancel_common=not rec.hints.clear)
+    # A record carrying an explicit clearing hint keeps its common factors.
+    net_clear = net_clearing_monomial(lhs + rhs, cancel_common=not rec.hints.clear)
+    if net_clear.exponents:
+        mult = (Term(Fraction(1), net_clear),)
+        lhs, rhs = ts_mul(lhs, mult), ts_mul(rhs, mult)
 
     # All certification data comes from the one-sided difference, where any
     # term shared by both sides (for example split-off combination constants)
     # cancels and imposes no homogeneity constraint.
-    diff = rts_make(list(lhs) + list(rts_neg(rhs)))
+    diff = ts_add(lhs, ts_neg(rhs))
     weight = _common_weight(diff)
     if weight.denominator != 1:
         raise _Uncertifiable(f"half-integral total weight {weight}")
@@ -666,18 +497,18 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     m = rec.hints.subst or 4 // math.gcd(residue, 4)
     if (residue * m) % 4 != 0:
         raise _Uncertifiable(f"substitution hint {m} does not clear residue {residue}")
-    lhs, rhs, diff = rts_subst(lhs, m), rts_subst(rhs, m), rts_subst(diff, m)
+    lhs, rhs, diff = ts_subst(lhs, m), ts_subst(rhs, m), ts_subst(diff, m)
 
     indices = sorted({n for t in diff for n, _ in t.pi.exponents})
     level = 2 * math.lcm(*indices) if indices else 1
     for t in diff:
-        for combo in t.e2 + t.e4:
+        for combo in t.lamberts:
             level = math.lcm(level, combo.level)
 
     extra_clear = _search_clearing(diff, (), level, cfg.max_clear_weight)
     if extra_clear is not None:
-        mult = (RTerm(Fraction(1), extra_clear),)
-        lhs, rhs, diff = rts_mul(lhs, mult), rts_mul(rhs, mult), rts_mul(diff, mult)
+        mult = (Term(Fraction(1), extra_clear),)
+        lhs, rhs, diff = ts_mul(lhs, mult), ts_mul(rhs, mult), ts_mul(diff, mult)
         net_clear = net_clear * extra_clear
         weight = _common_weight(diff)
         citations.append(f"cusp clearing multiplier {extra_clear.exponents}")
@@ -685,8 +516,8 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     for t in diff:
         if t.sqrts:
             raise _Uncertifiable("radical survived the squaring round")
-        for combo in t.e2:
-            if not is_modular_combo(combo):
+        for combo in t.lamberts:
+            if isinstance(combo, E2Combo) and not is_modular_combo(combo):
                 raise _Uncertifiable(
                     f"E2 combination {combo.terms} fails sum a_d/d = 0"
                 )
@@ -719,7 +550,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
             )
 
     if squared:
-        ok, info = _check_root_branch(root_pair, cfg)
+        ok, info = _check_root_branch(root_pair)
         if not ok:
             e, cl, cr = info
             return ProofReport(
@@ -757,7 +588,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     )
 
 
-def _check_root_branch(root_pair, cfg: ProveConfig):
+def _check_root_branch(root_pair):
     """Leading-term comparison of the unsquared sides (the j = 0 branch)."""
     f_terms, g_terms = root_pair
 
@@ -769,7 +600,7 @@ def _check_root_branch(root_pair, cfg: ProveConfig):
                 v += min(u.pi.valuation for u in atom.inner) / 2
             vals.append(v)
         start = min(vals) if vals else Fraction(0)
-        window = cfg.root_window
+        window = ROOT_WINDOW
         while window <= 512:
             s = rts_series(terms, start + window)
             if not s.is_zero():
@@ -801,8 +632,6 @@ def check(rec: IdentityRecord, terms: int) -> ProofReport:
     """Non-certifying comparison of the first `terms` lattice coefficients."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    from .ident import evaluate
-
     try:
         window = terms + 4
         for _ in range(8):

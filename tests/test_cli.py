@@ -45,6 +45,16 @@ class TestExpand:
         assert code == 0
         assert out.splitlines() == lines
 
+    @pytest.mark.parametrize(
+        "dsl,error",
+        [("(pi(1)-pi(1))^-1", "NotInvertible: "), ("sqrt(-pi(1))", "NonRootLeadingCoefficient: ")],
+    )
+    def test_math_error_exits_1_without_traceback(self, capsys, dsl, error):
+        code, out, err = run(capsys, "expand", dsl)
+        assert code == 1
+        assert err.startswith(error)
+        assert "Traceback" not in err
+
     def test_bad_dsl_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "pi(", "--terms", "3")
         assert code == 2 and "parse error" in err

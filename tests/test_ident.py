@@ -20,10 +20,11 @@ from piq.ident import (
     parse_corpus,
     parse_expression,
     parse_identity,
+    Term,
     to_dsl,
     ts_make,
 )
-from piq.quasimod import expand_lambert
+from piq.quasimod import E2Combo, E4Combo, expand_lambert
 from piq.series import ScaledSeries
 from piq.verify import _pi_series
 
@@ -190,7 +191,7 @@ class TestNormalize:
     def test_sqrt_flag_carried(self):
         rec = parse_identity("sqrt(pi(1)*pi(3)) = pi(2)")
         pf = normalize_polynomial(rec)
-        assert any(t.sqrt_flag for t in pf.terms)
+        assert any(bool(t.sqrts) for t in pf.terms)
 
     def test_nested_radical_rejected(self):
         with pytest.raises(NotPolynomializable):
@@ -228,3 +229,17 @@ class TestNormalize:
         diff = ts_make(list(lhs_t) + [type(t)(-t.coef, t.pi, t.lamberts, t.sqrts) for t in rhs_t])
         assert diff == pf.terms
         assert clearing.exponents == pf.clearing.exponents
+
+    def test_reduced_terms_order_e2_factors_before_e4_factors(self):
+        # With one Pi part, a term with no E2 factor sorts before one with
+        # two, whatever E4 factors either carries.
+        pi = PiMonomial.make({2: 2})
+        e2a = E2Combo.make({1: -1, 2: 2})
+        e2b = E2Combo.make({2: -1, 4: 2})
+        e4 = E4Combo.make({1: 1, 2: -1})
+        only_e4 = Term(F(1), pi, (e4,))
+        two_e2 = Term(F(3), pi, (e2a, e2b))
+        assert ts_make([two_e2, only_e4]) == (only_e4, two_e2)
+        assert only_e4.weight == 6 and two_e2.weight == 6
+        assert two_e2.describe() == "3 * Pi[2]^2 * (-1*E2(1z) + 2*E2(2z)) * (-1*E2(2z) + 2*E2(4z))"
+        assert E2Combo.make({1: -1}, F(1, 24)).describe() == "(1/24 + -1*E2(1z))"

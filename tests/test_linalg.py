@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from piq.errors import InsufficientPrecision
 from piq.etaq import PiMonomial, pi_to_eta
-from piq.linalg import RationalMatrix, kernel_basis, rank, solve_least_degrees
+from piq.linalg import RationalMatrix, kernel_basis, solve_least_degrees
 from piq.series import ScaledSeries as S
 
 
@@ -91,7 +91,6 @@ def test_kernel_properties_vs_naive_oracle(nrows, ncols, seed):
             assert sum(m.at(i, j) * v[j] for j in range(ncols)) == 0
     # rank-nullity against the oracle
     assert naive_rank(data) + len(basis) == ncols
-    assert rank(m) == naive_rank(data)
     # basis vectors are coprime integers with positive leading entry
     for v in basis:
         nz = [x for x in v if x != 0]

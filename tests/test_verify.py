@@ -4,11 +4,10 @@ import pytest
 
 import piq
 from piq.etaq import PiMonomial
-from piq.ident import parse_identity
+from piq.ident import Term, parse_identity
 from piq.series import ScaledSeries as S
 from piq.verify import (
     ProveConfig,
-    RTerm,
     _search_clearing,
     check,
     prove,
@@ -135,6 +134,63 @@ class TestProve:
         assert (r1.weight, r1.level, r1.sturm_bound) == (r2.weight, r2.level, r2.sturm_bound)
 
 
+class TestCertificatePins:
+    """Reduced terms of three Lambert records, pinned in full: their order, the
+    text of each term and the levels of its combinations."""
+
+    E2_1_2 = "(-1/24*E2(1z) + 1/12*E2(2z))"
+    A = "(-1/8*E2(2z) + 1/8*E2(4z) + 9/8*E2(18z) + -9/8*E2(36z))"
+    B = "(-1/24*E2(2z) + 1/24*E2(4z) + 3/8*E2(18z) + -3/8*E2(36z))"
+    C = "(-1/8*E2(2z) + 9/8*E2(18z))"
+    PINS = {
+        "La2-1b": (
+            4, 2, 1, None,
+            ("cube-sum-to-E4-difference",),
+            (
+                ("-1 * (1/240*E4(1z) + -1/240*E4(2z))", (2,)),
+                ("1 * Pi[1]^4", ()),
+            ),
+        ),
+        "La4-1": (
+            4, 4, 1, None,
+            ("lam(1,0) -> E2 combination", "lam(2,0) -> E2 combination"),
+            (
+                ("-1/24 * Pi[1]^4", ()),
+                (f"1 * Pi[2]^2 * {E2_1_2}", (2,)),
+                ("-2/3 * Pi[2]^4", ()),
+            ),
+        ),
+        "La18-3": (
+            6, 36, 2, {1: F(-1), 9: F(-1)},
+            (
+                "lam(1,0) -> E2 combination",
+                "lam(18,9) -> E2 combination",
+                "lam(2,1) -> E2 combination",
+                "lam(9,0) -> E2 combination",
+                "leading-coefficient branch comparison",
+                "one squaring round (radical elimination)",
+            ),
+            (
+                (f"-2 * Pi[2]^1 * Pi[18]^1 * {A} * {B}", (36, 36)),
+                (f"1 * Pi[2]^1 * Pi[18]^1 * {C} * {C}", (18, 18)),
+                (f"-1 * Pi[2]^2 * {B} * {B}", (36, 36)),
+                (f"-1 * Pi[18]^2 * {A} * {A}", (36, 36)),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("rid", sorted(PINS))
+    def test_certificate(self, rid):
+        weight, level, m, clearing, citations, terms = self.PINS[rid]
+        rec = next(r for r in piq.load_corpus() if r.id == rid)
+        cert = prove(rec).certificate
+        assert (cert.weight, cert.level, cert.subst_exponent) == (weight, level, m)
+        assert cert.clearing == (None if clearing is None else PiMonomial.make(clearing))
+        assert cert.citations == citations
+        assert tuple((tf.term, tf.combo_levels) for tf in cert.terms) == terms
+        assert all(tf.weight == weight for tf in cert.terms)
+
+
 class TestProvenSoundnessSpotChecks:
     @pytest.mark.parametrize("rid", ["L8-1", "L12-1", "L16-1", "La6-2", "La4-2"])
     def test_check_mode_confirms_proofs(self, rid):
@@ -176,7 +232,7 @@ class TestCheck:
 class TestClearingSearch:
     def test_search_finds_monomial_for_negative_orders(self):
         # A term with a pole at some cusp: Pi_2^2 / Pi_1 at level 4 shifted
-        terms = (RTerm(F(1), PiMonomial.make({1: -1, 2: 2})), RTerm(F(1), PiMonomial.make({1: 3})))
+        terms = (Term(F(1), PiMonomial.make({1: -1, 2: 2})), Term(F(1), PiMonomial.make({1: 3})))
         mono = _search_clearing(terms, (), 4, 16)
         assert mono is not None
         from piq.etaq import cusps, pi_order_at_cusp
@@ -187,7 +243,7 @@ class TestClearingSearch:
         assert mono.exponent_weighted_sum % 4 == 0
 
     def test_no_search_needed_for_nonnegative(self):
-        terms = (RTerm(F(1), PiMonomial.make({1: 2, 2: 2})),)
+        terms = (Term(F(1), PiMonomial.make({1: 2, 2: 2})),)
         assert _search_clearing(terms, (), 4, 16) is None
 
 
