@@ -59,7 +59,7 @@ from .ident import (
     parse_identity,
     to_dsl,
 )
-from .linalg import RationalMatrix, kernel_basis, solve_least_degrees
+from .linalg import RationalMatrix, kernel_basis
 from .verify import Certificate, ProofReport, ProveConfig, check, prove, root_match, sturm_bound
 from .discover import DiscoveredRelation, DiscoveryQuery, enumerate_monomials, gosper_bound, mine
 from .haupt import HauptFit, cusp_table, fit_rational, haupt_candidate_check

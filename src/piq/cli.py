@@ -5,8 +5,9 @@ expression), discover (relation mining), haupt (rational-function fit),
 cusps (canonical cusp list), sturm (coefficient bound).
 
 Exit codes: 0 success, 1 mathematical failure (refuted or uncertified),
-2 usage or parse error.  The environment variable PIQ_MAX_TERMS caps every
-expansion window.
+2 usage or parse error.  The environment variable PIQ_MAX_TERMS caps the
+coefficient count of ``verify --mode check`` (its --terms) and of ``expand``;
+proof mode always compares up to the Sturm bound, whatever its value.
 """
 
 from __future__ import annotations

@@ -251,6 +251,16 @@ class PiMonomial:
     def sort_key(self):
         return tuple(sorted(self.exponents))
 
+    def expand(self, terms: int) -> ScaledSeries:
+        """q-expansion through the eta quotient at level 2*lcm(indices).
+
+        One integer recurrence covers the whole product, so the result is
+        known modulo O(q^(valuation + min(indices)*terms)).
+        """
+        if not self.exponents:
+            return ScaledSeries.one()
+        return pi_to_eta(self, 2 * math.lcm(*self.indices())).expand(terms)
+
 
 @dataclass(frozen=True)
 class Cusp:

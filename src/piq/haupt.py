@@ -31,7 +31,7 @@ from .ident import (
     IdentityRecord,
     Mul,
     Pow,
-    _build,
+    _pi_factor,
     evaluate_to_bound,
     parse_expression,
     to_dsl,
@@ -48,48 +48,12 @@ def _require_genus_zero(level: int):
         raise ValueError(f"Gamma_0({level}) does not have genus zero")
 
 
-def _dissolve_radicals(term):
-    """Resolve sqrt factors of single square terms into half-integer exponents."""
-    from .ident import Term, _monomial_sqrt
-
-    if term.lamberts:
-        return None
-    t = term
-    while t.sqrts:
-        atom = t.sqrts[0]
-        if len(atom.inner) != 1:
-            return None
-        m = _monomial_sqrt(atom.inner[0])
-        if m is None:
-            return None
-        t = Term(t.coef * m.coef, t.pi * m.pi, (), t.sqrts[1:])
-    return t
-
-
-def as_pi_monomial(expr: Expr):
-    """The expression as a single Pi-monomial term (radicals resolved), or None."""
-    from .ident import Term, _term_mul
-
-    f = _build(expr)
-    if len(f.num) != 1 or len(f.den) != 1:
-        return None
-    n = _dissolve_radicals(f.num[0])
-    d = _dissolve_radicals(f.den[0])
-    if n is None or d is None:
-        return None
-    inv = Term(1 / d.coef, d.pi ** Fraction(-1))
-    prod = _term_mul(n, inv)
-    if len(prod) != 1:
-        return None
-    return prod[0]
-
-
 def expr_to_eta_quotient(expr: Expr, level: int) -> EtaQuotient:
-    """Convert a monomial Pi-expression with unit coefficient to an eta quotient."""
-    mono = as_pi_monomial(expr)
-    if mono is None or mono.coef <= 0:
+    """Convert a monomial Pi-expression with positive coefficient to an eta quotient."""
+    folded = _pi_factor(expr)
+    if folded is None or folded[0] <= 0:
         raise NotAnEtaQuotient(f"{to_dsl(expr)} is not a positive Pi monomial")
-    return pi_to_eta(mono.pi, level)
+    return pi_to_eta(folded[1], level)
 
 
 @dataclass(frozen=True)

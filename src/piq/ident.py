@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import NotPolynomializable, ParseError, SemanticError
-from .etaq import PiMonomial, pi_to_eta
+from .etaq import PiMonomial
 from .quasimod import LambertSpec, expand_lambert
-from .series import INF, ScaledSeries, _frac
+from .series import INF, ScaledSeries, _frac, _rational_nth_root
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,58 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: Expr, terms: int) -> ScaledSeries:
-    """Exact expansion of a DSL expression with an O(q^terms)-sized window."""
+def _pi_factor(expr: Expr) -> Optional[tuple[Fraction, PiMonomial]]:
+    """The expression as ``(coef, m)`` with value coef * m for one Pi monomial m.
+
+    A structural walk over constants, Pi atoms, negations, products, powers,
+    square roots and substitutions.  It gives up (None) on a sum or a Lambert
+    atom, on a power leaving a Pi exponent that is not a half-integer, and on
+    a coefficient without the rational root ``ScaledSeries.pow`` would take
+    (a zero base, a negative base under an even root, a non-perfect power),
+    so those inputs keep the generic evaluation and its errors.
+    """
     if isinstance(expr, Const):
-        return ScaledSeries.constant(expr.value)
+        return expr.value, PiMonomial.one()
     if isinstance(expr, Pi):
-        return pi_to_eta(PiMonomial.make({expr.n: 1}), 2 * expr.n).expand(terms)
+        return Fraction(1), PiMonomial.make({expr.n: 1})
+    if isinstance(expr, (Neg, Subst, Pow, Sqrt)):
+        inner = _pi_factor(expr.child)
+        if inner is None:
+            return None
+        coef, mono = inner
+        if isinstance(expr, Neg):
+            return -coef, mono
+        if isinstance(expr, Subst):
+            return coef, mono.subst(expr.j)
+        e = expr.e if isinstance(expr, Pow) else Fraction(1, 2)
+        if coef == 0 or any((2 * k * e).denominator != 1 for _, k in mono.exponents):
+            return None
+        root = _rational_nth_root(coef, e.denominator)
+        if root is None:
+            return None
+        return root**e.numerator, mono**e
+    if isinstance(expr, Mul):
+        coef, mono = Fraction(1), PiMonomial.one()
+        for c in expr.children:
+            inner = _pi_factor(c)
+            if inner is None:
+                return None
+            coef, mono = coef * inner[0], mono * inner[1]
+        return coef, mono
+    return None
+
+
+def evaluate(expr: Expr, terms: int) -> ScaledSeries:
+    """Exact expansion of a DSL expression with an O(q^terms)-sized window.
+
+    A subtree that is one Pi monomial is expanded by a single eta-quotient
+    recurrence; sums and Lambert atoms combine their children's series.
+    """
+    folded = _pi_factor(expr)
+    if folded is not None:
+        coef, mono = folded
+        s = mono.expand(terms)
+        return s if coef == 1 else s * coef
     if isinstance(expr, Lambert):
         return expand_lambert(expr.spec, terms)
     if isinstance(expr, Neg):
@@ -581,8 +627,6 @@ def ts_scale(a: tuple, c: Fraction) -> tuple:
 
 def _monomial_sqrt(t: Term) -> Optional[Term]:
     """sqrt of a radical-free, Lambert-free term with integral Pi exponents."""
-    from .series import _rational_nth_root
-
     if t.lamberts or t.sqrts:
         return None
     if any(k.denominator != 1 for _, k in t.pi.exponents):
@@ -734,8 +778,6 @@ def _build(expr: Expr) -> _Frac:
         if isinstance(expr.child, Pi):
             return _Frac((Term(Fraction(1), PiMonomial.make({expr.child.n: Fraction(1, 2)})),), TS_ONE)
         if isinstance(expr.child, Const):
-            from .series import _rational_nth_root
-
             r = _rational_nth_root(expr.child.value, 2)
             if r is not None:
                 return _Frac(ts_scale(TS_ONE, r), TS_ONE)
@@ -771,8 +813,6 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
         # exponent vector; anything else keeps a radical.
         mono = _single_pi_term(f)
         if mono is not None:
-            from .series import _rational_nth_root
-
             root = _rational_nth_root(mono.coef, 2)
             scaled = {n: k * e for n, k in mono.pi.exponents}
             if root is not None and all((2 * k).denominator == 1 for k in scaled.values()):

@@ -114,21 +114,29 @@ def series_window_matrix(columns: Sequence[ScaledSeries], rows: int) -> Rational
 
     The window starts at the smallest valuation among the columns and walks
     the common exponent lattice; a coefficient beyond some column's tracked
-    bound raises InsufficientPrecision.
+    bound raises InsufficientPrecision.  Entries are read by lattice index:
+    row i is numerator base + i on the common scale, which a column of scale
+    s stores at index (base + i) / (scale / s) - offset when that is integral.
     """
     if not columns:
         raise ValueError("no columns")
     scale = math.lcm(*(c.scale for c in columns))
     vals = [c.valuation() for c in columns]
     known = [v for v in vals if v is not None]
-    base = min(known) if known else Fraction(0)
-    data = []
-    for i in range(rows):
-        e = base + Fraction(i, scale)
-        data.append([col.coefficient(e) for col in columns])
-    return RationalMatrix.make(data, cols=len(columns))
-
-
-def solve_least_degrees(columns: Sequence[ScaledSeries], rows: int) -> list[tuple[int, ...]]:
-    """Kernel of the coefficient-window matrix built from the given series."""
-    return kernel_basis(series_window_matrix(columns, rows))
+    # A valuation sits on its column's lattice, so base * scale is integral.
+    base = int(min(known) * scale) if known else 0
+    last, bound = Fraction(base + rows - 1, scale), min(c.bound for c in columns)
+    if rows and last >= bound:
+        raise InsufficientPrecision(
+            f"coefficient of q^{last} requested but a column is only known modulo O(q^{bound})"
+        )
+    ncols = len(columns)
+    entries = [Fraction(0)] * (rows * ncols)
+    for j, col in enumerate(columns):
+        step = scale // col.scale
+        for k, c in enumerate(col.coeffs):
+            i = (col.offset + k) * step - base
+            if i >= rows:
+                break
+            entries[i * ncols + j] = c
+    return RationalMatrix(rows, ncols, tuple(entries))

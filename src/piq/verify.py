@@ -8,9 +8,9 @@ The pipeline for :func:`prove`:
     operations throughout; there is no second term algebra.
 2.  Rewrite Lambert atoms in place: the registered rules of
     ``quasimod.combo_rules`` collapse quartic Lambert pairs to the cube sum
-    and turn the cube sum into an E4 difference, and the remaining patterns
-    become E2 combinations whose constants are split off and merged with
-    the other constant terms.  A reduced term is a ``Term`` whose atom slot
+    and turn the cube sum into an E4 difference, an E4 atom stands as its
+    own E4 combination, and the remaining patterns become E2 combinations
+    whose constants are split off and merged with the other constant terms.  A reduced term is a ``Term`` whose atom slot
     holds these certified ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
     signature (at most two groups after an optional radical multiplication
@@ -33,6 +33,7 @@ The pipeline for :func:`prove`:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,7 +45,6 @@ from .etaq import (
     divisors,
     index_gamma0,
     pi_order_at_cusp,
-    pi_to_eta,
 )
 from .ident import (
     IdentityRecord,
@@ -62,7 +62,7 @@ from .ident import (
     _key,
     _single_pi_term,
 )
-from .quasimod import E2Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
+from .quasimod import E2Combo, E4Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
 from .series import INF, ScaledSeries, _frac
 
 
@@ -211,6 +211,12 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
                 e4s.append(hit[0])
                 citations.append(hit[1])
                 continue
+            if spec.kind == "E4":
+                # An E4 atom is itself a weight-4 form, as an E2 atom is
+                # itself an E2 combination.
+                e4s.append(E4Combo.make({spec.a: 1}))
+                citations.append(f"{spec} -> E4 combination")
+                continue
             combo = reduce_to_e2(spec)
             if combo is None:
                 raise _Uncertifiable(f"irreducible Lambert pattern {spec}")
@@ -269,12 +275,9 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
 
 def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
     """Expansion of a Pi-monomial with bound at least min_bound."""
-    if not mono.exponents:
-        return ScaledSeries.one()
-    level = 2 * math.lcm(*mono.indices())
     # The expansion is known past valuation + t >= min_bound + 4.
     t = max(8, math.ceil(_frac(min_bound) - mono.valuation) + 4)
-    return pi_to_eta(mono, level).expand(t)
+    return mono.expand(t)
 
 
 def _term_series(t: Term, min_bound) -> ScaledSeries:
@@ -316,20 +319,29 @@ def _signature(t: Term):
     return tuple(a.key() for a in t.sqrts)
 
 
-def _search_clearing(lhs, rhs, level: int, max_weight: int):
+def _cusp_orders(monos, cusp_list, level: int) -> dict:
+    """Order vector over cusp_list of each distinct Pi monomial."""
+    return {
+        p: tuple(pi_order_at_cusp(p, c, level) for c in cusp_list)
+        for p in dict.fromkeys(monos)
+    }
+
+
+def _search_clearing(lhs, rhs, level: int, max_weight: int, orders=None):
     """Breadth-first search for a monomial fixing negative cusp orders.
 
     Candidates are supported on divisors of the lcm of the present indices,
     carry residue 0 mod 4 (so the substitution stays valid), and are tried in
     increasing weight, ties broken by lexicographically smallest exponents.
+    ``orders`` maps each term's Pi monomial to its orders over cusps(level);
+    it is computed here when not given.
     """
     terms = list(lhs) + list(rhs)
     cusp_list = cusps(level)
-    worst: dict = {c: Fraction(0) for c in cusp_list}
-    for t in terms:
-        for c in cusp_list:
-            worst[c] = min(worst[c], pi_order_at_cusp(t.pi, c, level))
-    if all(v >= 0 for v in worst.values()):
+    if orders is None:
+        orders = _cusp_orders((t.pi for t in terms), cusp_list, level)
+    worst = [min(0, *col) for col in zip(*orders.values())]
+    if all(v >= 0 for v in worst):
         return None
     indices = sorted({n for t in terms for n, _ in t.pi.exponents})
     if not indices:
@@ -354,7 +366,7 @@ def _search_clearing(lhs, rhs, level: int, max_weight: int):
             if mono.exponent_weighted_sum % 4 != 0:
                 continue
             if all(
-                pi_order_at_cusp(mono, c, level) + worst[c] >= 0 for c in cusp_list
+                pi_order_at_cusp(mono, c, level) + w >= 0 for c, w in zip(cusp_list, worst)
             ):
                 return mono
     raise _Uncertifiable(
@@ -383,15 +395,12 @@ def _common_residue(terms) -> int:
     return residues.pop() if residues else 0
 
 
-def _term_facts(terms, level: int) -> tuple[TermFacts, ...]:
-    cusp_list = cusps(level)
+def _term_facts(terms, cusp_list, level: int, orders) -> tuple[TermFacts, ...]:
     facts = []
     for t in terms:
-        orders = tuple(
-            (c.label(level), str(pi_order_at_cusp(t.pi, c, level))) for c in cusp_list
-        )
+        row = tuple((c.label(level), str(o)) for c, o in zip(cusp_list, orders[t.pi]))
         combo_levels = tuple(c.level for c in t.lamberts)
-        facts.append(TermFacts(t.describe(), t.weight, orders, combo_levels))
+        facts.append(TermFacts(t.describe(), t.weight, row, combo_levels))
     return tuple(facts)
 
 
@@ -505,10 +514,18 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         for combo in t.lamberts:
             level = math.lcm(level, combo.level)
 
-    extra_clear = _search_clearing(diff, (), level, cfg.max_clear_weight)
+    # Each term's cusp orders are computed once, for the clearing search and
+    # the certificate; a clearing multiplier adds its own orders to them.
+    cusp_list = cusps(level)
+    orders = _cusp_orders((t.pi for t in diff), cusp_list, level)
+    extra_clear = _search_clearing(diff, (), level, cfg.max_clear_weight, orders)
     if extra_clear is not None:
         mult = (Term(Fraction(1), extra_clear),)
         lhs, rhs, diff = ts_mul(lhs, mult), ts_mul(rhs, mult), ts_mul(diff, mult)
+        shift = _cusp_orders([extra_clear], cusp_list, level)[extra_clear]
+        orders = {
+            p * extra_clear: tuple(map(operator.add, o, shift)) for p, o in orders.items()
+        }
         net_clear = net_clear * extra_clear
         weight = _common_weight(diff)
         citations.append(f"cusp clearing multiplier {extra_clear.exponents}")
@@ -573,7 +590,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         subst_exponent=m,
         clearing=net_clear if net_clear.exponents else None,
         citations=tuple(sorted(set(citations))),
-        terms=_term_facts(diff, level),
+        terms=_term_facts(diff, cusp_list, level, orders),
     )
     return ProofReport(
         id=rec.id,

@@ -149,3 +149,11 @@ class TestEnvCap:
         code, out, _ = run(capsys, "expand", "pi(1)", "--terms", "10")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_max_terms_does_not_cap_proofs(self, capsys, monkeypatch):
+        monkeypatch.setenv("PIQ_MAX_TERMS", "10")
+        code, out, _ = run(
+            capsys, "verify", piq.corpus_path(), "--id", "L18-4", "--report", "tsv"
+        )
+        assert code == 0
+        assert out.splitlines()[2] == "L18-4\tPROVEN\t13\t72\t4\t157\t157"

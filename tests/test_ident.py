@@ -1,18 +1,28 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import piq
-from piq.errors import NotPolynomializable, ParseError, SemanticError
+from piq.errors import (
+    NonRootLeadingCoefficient,
+    NotInvertible,
+    NotPolynomializable,
+    ParseError,
+    SemanticError,
+)
 from piq.etaq import PiMonomial
 from piq.ident import (
     Add,
     Const,
+    Lambert,
     Mul,
     Neg,
     Pi,
     Pow,
     Sqrt,
+    Subst,
+    _pi_factor,
     build_sides,
     evaluate,
     evaluate_to_bound,
@@ -25,7 +35,7 @@ from piq.ident import (
     ts_make,
 )
 from piq.quasimod import E2Combo, E4Combo, expand_lambert
-from piq.series import ScaledSeries
+from piq.series import ScaledSeries, psi_expansion
 from piq.verify import _pi_series
 
 
@@ -243,3 +253,118 @@ class TestNormalize:
         assert only_e4.weight == 6 and two_e2.weight == 6
         assert two_e2.describe() == "3 * Pi[2]^2 * (-1*E2(1z) + 2*E2(2z)) * (-1*E2(2z) + 2*E2(4z))"
         assert E2Combo.make({1: -1}, F(1, 24)).describe() == "(1/24 + -1*E2(1z))"
+
+
+def _reference_evaluate(expr, terms):
+    """Generic evaluation: each pi(n) on its own, as q^(n/4) psi(q^n)^2, then
+    ScaledSeries products, powers and substitutions."""
+    if isinstance(expr, Const):
+        return ScaledSeries.constant(expr.value)
+    if isinstance(expr, Pi):
+        psi = psi_expansion(terms)
+        return (psi * psi).subst_power(expr.n) * ScaledSeries.monomial(F(expr.n, 4))
+    if isinstance(expr, Neg):
+        return -_reference_evaluate(expr.child, terms)
+    if isinstance(expr, Mul):
+        out = ScaledSeries.one()
+        for c in expr.children:
+            out = out * _reference_evaluate(c, terms)
+        return out
+    if isinstance(expr, Pow):
+        return _reference_evaluate(expr.child, terms).pow(expr.e, terms=terms)
+    if isinstance(expr, Sqrt):
+        return _reference_evaluate(expr.child, terms).pow(F(1, 2), terms=terms)
+    if isinstance(expr, Subst):
+        return _reference_evaluate(expr.child, -(-terms // expr.j)).subst_power(expr.j)
+    raise TypeError(expr)
+
+
+def _random_monomial_expr(rng):
+    """A product of 1-4 Pi powers with half-integer exponents, maybe substituted."""
+    factors = [Pow(Pi(rng.randint(1, 6)), F(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), 2))
+               for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        factors.insert(0, Const(F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4]))))
+    expr = Mul(tuple(factors)) if len(factors) > 1 else factors[0]
+    if rng.random() < 0.5:
+        expr = Subst(expr, rng.randint(2, 3))
+    return expr
+
+
+class TestPiMonomialFold:
+    """evaluate() expands a Pi-monomial subtree with one eta-quotient
+    recurrence; it must agree with the generic per-factor product."""
+
+    PINNED = [
+        "(pi(2)/pi(6))^5",
+        "sqrt(pi(1)/pi(9))^3",
+        "subst(pi(1)^2/pi(2),3)",
+        "-3*pi(4)^-2",
+        "sqrt(4*pi(1))",
+        "(-8*pi(1)^3)^1/3",
+        "pi(1)^3/2*pi(9)^-1/2",
+        "pi(1)^0",
+        "subst(sqrt(pi(2)*pi(1))*pi(3),2)",
+    ]
+
+    @staticmethod
+    def assert_agrees(expr, terms):
+        assert _pi_factor(expr) is not None, to_dsl(expr)
+        folded = evaluate(expr, terms)
+        ref = _reference_evaluate(expr, terms)
+        assert folded.bound >= ref.bound
+        assert ref.bound >= ref.valuation() + 1
+        assert (folded - ref).is_zero(), to_dsl(expr)
+        assert folded.valuation() == ref.valuation()
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned(self, text):
+        for terms in (1, 7, 20):
+            self.assert_agrees(parse_expression(text), terms)
+
+    def test_seeded_random_products(self):
+        rng = random.Random(20211)
+        for _ in range(60):
+            self.assert_agrees(_random_monomial_expr(rng), rng.randint(1, 16))
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("sqrt(-pi(1))", NonRootLeadingCoefficient),
+            ("sqrt(2*pi(1))", NonRootLeadingCoefficient),
+            ("(pi(1)-pi(1))^-1", NotInvertible),
+            ("(0*pi(1))^-1", NotInvertible),
+        ],
+    )
+    def test_fallbacks_keep_typed_errors(self, text, error):
+        expr = parse_expression(text)
+        assert _pi_factor(expr) is None
+        with pytest.raises(error):
+            evaluate(expr, 10)
+
+    def test_zero_coefficient(self):
+        s = evaluate(parse_expression("0*pi(1)"), 10)
+        assert s.is_zero() and s == _reference_evaluate(parse_expression("0*pi(1)"), 10)
+
+    def test_sums_and_lamberts_are_not_folded(self):
+        for text in ("pi(1)*(pi(2)+pi(3))", "pi(1)*lam(2,1)", "pi(1)^2/3"):
+            assert _pi_factor(parse_expression(text)) is None
+            s = evaluate(parse_expression(text), 12)
+            assert (s - _reference_mixed(parse_expression(text), 12)).is_zero()
+
+
+def _reference_mixed(expr, terms):
+    """Generic evaluation that also passes sums and Lambert atoms through."""
+    if isinstance(expr, Add):
+        out = ScaledSeries.zero()
+        for c in expr.children:
+            out = out + _reference_mixed(c, terms)
+        return out
+    if isinstance(expr, Lambert):
+        return expand_lambert(expr.spec, terms)
+    if isinstance(expr, Mul):
+        out = ScaledSeries.one()
+        for c in expr.children:
+            out = out * _reference_mixed(c, terms)
+        return out
+    return _reference_evaluate(expr, terms)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piq.errors import InsufficientPrecision
-from piq.etaq import PiMonomial, pi_to_eta
-from piq.linalg import RationalMatrix, kernel_basis, solve_least_degrees
+from piq.etaq import EtaQuotient, PiMonomial, pi_to_eta
+from piq.linalg import RationalMatrix, kernel_basis, series_window_matrix
 from piq.series import ScaledSeries as S
 
 
@@ -50,25 +51,83 @@ class TestKernelBasis:
             PiMonomial.make(d) for d in ({1: 1, 3: 1}, {2: 2}, {2: 1, 6: 1}, {6: 2})
         ]
         cols = [pi_to_eta(m, 24).expand(16) for m in monomials]
-        assert solve_least_degrees(cols, 13) == [(1, -1, -2, 3)]
+        assert kernel_basis(series_window_matrix(cols, 13)) == [(1, -1, -2, 3)]
 
 
 class TestSolveLeastDegrees:
+    """Kernels of coefficient-window matrices, kernel_basis(series_window_matrix(...))."""
+
     def test_trivial_relation(self):
         cols = [S.from_terms({0: 1, 1: 1}, 6), S.from_terms({1: 1}, 6), S.from_terms({0: 1}, 6)]
-        assert solve_least_degrees(cols, 3) == [(1, -1, -1)]
+        assert kernel_basis(series_window_matrix(cols, 3)) == [(1, -1, -1)]
 
     def test_duplicates(self):
         T = 10
         from piq.series import psi_expansion
 
         p2 = psi_expansion(T) * psi_expansion(T)
-        assert solve_least_degrees([p2, p2], 6) == [(1, -1)]
+        assert kernel_basis(series_window_matrix([p2, p2], 6)) == [(1, -1)]
 
     def test_insufficient_precision(self):
         cols = [S.from_terms({0: 1}, 4), S.from_terms({0: 2}, 4)]
         with pytest.raises(InsufficientPrecision):
-            solve_least_degrees(cols, 10)
+            kernel_basis(series_window_matrix(cols, 10))
+
+
+def _cell_matrix(columns, rows):
+    """Reference window: one coefficient() call per cell."""
+    scale = math.lcm(*(c.scale for c in columns))
+    vals = [v for v in (c.valuation() for c in columns) if v is not None]
+    base = min(vals) if vals else F(0)
+    return [[col.coefficient(base + F(i, scale)) for col in columns] for i in range(rows)]
+
+
+def _window_rows(columns, rows):
+    m = series_window_matrix(columns, rows)
+    assert (m.rows, m.cols) == (rows, len(columns))
+    return [m.row(i) for i in range(rows)]
+
+
+class TestWindowLatticeRead:
+    def test_mixed_scales_and_negative_base(self):
+        cols = [
+            S.from_terms({0: 3, 1: -1, 2: 5}, 4),  # scale 1
+            S.from_terms({F(-1, 4): 2, F(3, 4): 7, F(5, 4): -1}, 3),  # scale 4
+            EtaQuotient.make(1, {1: -1}).expand(4),  # 1/eta: scale 24, valuation -1/24
+        ]
+        assert [c.scale for c in cols] == [1, 4, 24]
+        assert cols[2].valuation() < 0
+        rows = 40
+        assert _window_rows(cols, rows) == _cell_matrix(cols, rows)
+
+    def test_precision_limit_matches_cell_reads(self):
+        cols = [S.from_terms({F(-1, 4): 1, F(1, 2): 2}, 1), S.from_terms({F(1, 3): 1}, F(5, 6))]
+        scale = 12
+        for rows in range(1, 20):
+            last = F(-1, 4) + F(rows - 1, scale)
+            if last >= F(5, 6):
+                with pytest.raises(InsufficientPrecision):
+                    series_window_matrix(cols, rows)
+            else:
+                assert _window_rows(cols, rows) == _cell_matrix(cols, rows)
+
+    def test_seeded_random_columns(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            cols = []
+            for _ in range(rng.randint(1, 4)):
+                scale = rng.choice([1, 2, 3, 4, 6, 8, 12, 24])
+                terms = {F(rng.randint(-30, 40), scale): rng.randint(-5, 5) for _ in range(rng.randint(0, 8))}
+                bound = rng.choice([math.inf, F(rng.randint(10, 80), rng.choice([1, 4, 24]))])
+                cols.append(S.from_terms(terms, bound))
+            rows = rng.randint(0, 30)
+            try:
+                want = _cell_matrix(cols, rows)
+            except InsufficientPrecision:
+                with pytest.raises(InsufficientPrecision):
+                    series_window_matrix(cols, rows)
+                continue
+            assert _window_rows(cols, rows) == want
 
 
 @given(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -190,6 +191,55 @@ class TestCertificatePins:
         assert tuple((tf.term, tf.combo_levels) for tf in cert.terms) == terms
         assert all(tf.weight == weight for tf in cert.terms)
 
+    # Cusp orders of every certificate term, in cusp order: L8-1 needs no
+    # clearing multiplier, La18-3 carries the net multiplier Pi[1]^-1 Pi[9]^-1.
+    ORDERS = {
+        "L8-1": (
+            ("0", "1/2", "1/4", "3/4", "1/8", "oo"),
+            (
+                ("0", "0", "1", "1", "1", "3"),
+                ("0", "0", "0", "0", "1", "5"),
+                ("0", "0", "0", "0", "3", "3"),
+            ),
+        ),
+        "La18-3": (
+            ("0", "1/2", "1/3", "2/3", "1/4", "1/6", "5/6", "1/9", "1/12", "5/12", "1/18", "oo"),
+            (
+                ("0", "0", "0", "0", "5", "0", "0", "0", "1", "1", "0", "5"),
+                ("0", "0", "0", "0", "5", "0", "0", "0", "1", "1", "0", "5"),
+                ("0", "0", "0", "0", "9", "0", "0", "0", "1", "1", "0", "1"),
+                ("0", "0", "0", "0", "1", "0", "0", "0", "1", "1", "0", "9"),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("rid", sorted(ORDERS))
+    def test_cusp_orders(self, rid):
+        labels, rows = self.ORDERS[rid]
+        rec = next(r for r in piq.load_corpus() if r.id == rid)
+        cert = prove(rec).certificate
+        assert tuple(tf.cusp_orders for tf in cert.terms) == tuple(
+            tuple(zip(labels, row)) for row in rows
+        )
+
+
+class TestE4Atoms:
+    def test_cube_sum_as_e4_difference_proven(self):
+        rep = prove(parse_identity("dl3() = 1/240*E4(1) - 1/240*E4(2)", id="e4"))
+        assert rep.verdict == "PROVEN"
+        assert (rep.weight, rep.level, rep.sturm_bound) == (4, 2, 2)
+        assert "E4(1) -> E4 combination" in rep.certificate.citations
+
+    def test_substituted_cube_sum_proven_at_level_4(self):
+        rep = prove(parse_identity("subst(dl3(),2) = 1/240*E4(2) - 1/240*E4(4)", id="e4s"))
+        assert rep.verdict == "PROVEN"
+        assert rep.level == 4
+
+    def test_mutant_refuted_at_constant_term(self):
+        rep = prove(parse_identity("dl3() = 1/241*E4(1) - 1/240*E4(2)", id="e4m"))
+        assert rep.verdict == "REFUTED"
+        assert rep.mismatch[0] == 0
+
 
 class TestProvenSoundnessSpotChecks:
     @pytest.mark.parametrize("rid", ["L8-1", "L12-1", "L16-1", "La6-2", "La4-2"])
@@ -241,6 +291,22 @@ class TestClearingSearch:
             for c in cusps(4):
                 assert pi_order_at_cusp(t.pi * mono, c, 4) >= 0
         assert mono.exponent_weighted_sum % 4 == 0
+
+    def test_clearing_adds_its_cusp_orders(self):
+        # The prover shifts each term's order vector by the multiplier's
+        # instead of recomputing it; that rests on orders being additive.
+        from piq.etaq import cusps, pi_order_at_cusp
+
+        terms = (Term(F(1), PiMonomial.make({1: -1, 2: 2})), Term(F(1), PiMonomial.make({1: 3})))
+        mono = _search_clearing(terms, (), 4, 16)
+        rng = random.Random(7)
+        monos = [t.pi for t in terms] + [
+            PiMonomial.make({n: F(rng.randint(-6, 6), 2) for n in (1, 2, 3, 6)}) for _ in range(20)
+        ]
+        for p in monos:
+            for c in cusps(24):
+                direct = pi_order_at_cusp(p * mono, c, 24)
+                assert direct == pi_order_at_cusp(p, c, 24) + pi_order_at_cusp(mono, c, 24)
 
     def test_no_search_needed_for_nonnegative(self):
         terms = (Term(F(1), PiMonomial.make({1: 2, 2: 2})),)
