@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import LevelMismatch, PreconditionViolated
-from .series import ScaledSeries, _frac
+from .series import INF, ScaledSeries, _frac
 
 
 def divisors(n: int) -> list[int]:
@@ -149,9 +149,16 @@ class EtaQuotient:
         return Fraction(sum(r for _, r in self.exponents), 2)
 
     def expand(self, terms: int) -> ScaledSeries:
-        """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms)).
+        """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms))."""
+        return ScaledSeries._from_numerators(*self.numerators(terms))
 
-        Here v = sum r_delta delta / 24 is the valuation.  The product part
+    def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
+        """The expansion as (scale, {numerator: integer coefficient}, bound).
+
+        The coefficient of q^(n/scale) is stored under n, in increasing order
+        of n, and the series is known modulo O(q^bound), bound =
+        v + min(delta)*terms, where v = sum r_delta delta / 24 is the
+        valuation.  The product part
         prod (q^delta; q^delta)_oo^r_delta is a power series in Q = q^g with
         g = gcd(delta); its coefficients obey the log-derivative recurrence
         (Knuth, TAOCP vol. 2, 4.7)
@@ -164,7 +171,7 @@ class EtaQuotient:
         if terms < 1:
             raise ValueError("terms must be >= 1")
         if not self.exponents:
-            return ScaledSeries.one()
+            return 1, {0: 1}, INF
         deltas = [delta for delta, _ in self.exponents]
         g = math.gcd(*deltas)
         window = min(deltas) * terms
@@ -188,7 +195,7 @@ class EtaQuotient:
         v = Fraction(sum(r * delta for delta, r in self.exponents), 24)
         step = g * v.denominator
         nums = {v.numerator + step * n: x for n, x in enumerate(a) if x}
-        return ScaledSeries._from_numerators(v.denominator, nums, v + window)
+        return v.denominator, nums, v + window
 
 
 @dataclass(frozen=True)
@@ -257,9 +264,16 @@ class PiMonomial:
         One integer recurrence covers the whole product, so the result is
         known modulo O(q^(valuation + min(indices)*terms)).
         """
+        return ScaledSeries._from_numerators(*self.numerators(terms))
+
+    def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
+        """The expansion of :meth:`expand` as (scale, {numerator: int}, bound).
+
+        Numerators come in increasing order, as from ``EtaQuotient.numerators``.
+        """
         if not self.exponents:
-            return ScaledSeries.one()
-        return pi_to_eta(self, 2 * math.lcm(*self.indices())).expand(terms)
+            return 1, {0: 1}, INF
+        return pi_to_eta(self, 2 * math.lcm(*self.indices())).numerators(terms)
 
 
 @dataclass(frozen=True)
@@ -300,19 +314,15 @@ class ModularityFacts:
 
 def pi_to_eta(p: PiMonomial, level: int) -> EtaQuotient:
     """Eta-quotient form of a Pi-monomial: r_{2n} += 4k, r_n -= 2k per index."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for n, k in p.exponents:
         if level % (2 * n) != 0:
             raise LevelMismatch(f"2*{n} does not divide level {level}")
-        acc[2 * n] = acc.get(2 * n, Fraction(0)) + 4 * k
-        acc[n] = acc.get(n, Fraction(0)) - 2 * k
-    ints = {}
-    for delta, r in acc.items():
-        if r == 0:
-            continue
-        assert r.denominator == 1, "half-integer Pi exponents give integral eta exponents"
-        ints[delta] = int(r)
-    return EtaQuotient.make(level, ints)
+        twice, rem = divmod(2 * k.numerator, k.denominator)
+        assert not rem, "half-integer Pi exponents give integral eta exponents"
+        acc[2 * n] = acc.get(2 * n, 0) + 2 * twice
+        acc[n] = acc.get(n, 0) - twice
+    return EtaQuotient.make(level, acc)
 
 
 def modularity_facts(e: EtaQuotient) -> ModularityFacts:
@@ -420,14 +430,17 @@ def order_at_cusp(e: EtaQuotient, c: Cusp) -> Fraction:
 
 
 def pi_order_at_cusp(p: PiMonomial, c: Cusp, level: int) -> Fraction:
-    """Vanishing order of a Pi-monomial at the cusp r/s, directly from exponent data."""
+    """Vanishing order of a Pi-monomial at the cusp r/s, directly from exponent data.
+
+    The order is sum_n 2k_n (N/n) (gcd(s,2n)^2 - gcd(s,n)^2) / (24 s gcd(s,N/s)),
+    where 2k_n and N/n are integers, so the sum is one integer.
+    """
     N, s = level, c.s
-    total = Fraction(0)
+    total = 0
     for n, k in p.exponents:
-        total += (
-            Fraction(2, 1)
-            * k
-            / n
-            * (math.gcd(s, 2 * n) ** 2 - math.gcd(s, n) ** 2)
-        )
-    return Fraction(N, 24 * s * math.gcd(s, N // s)) * total
+        m, rem = divmod(N, n)
+        if rem:
+            raise LevelMismatch(f"Pi index {n} does not divide level {N}")
+        twice = 2 * k.numerator // k.denominator
+        total += twice * m * (math.gcd(s, 2 * n) ** 2 - math.gcd(s, n) ** 2)
+    return Fraction(total, 24 * s * math.gcd(s, N // s))

@@ -225,11 +225,15 @@ def fit_rational(
             f"{to_dsl(h)} fails the hauptmodul conditions at level {level}: {check}"
         )
     for total in range(0, 2 * max_degree + 1):
+        # Expansions of the target and of each h^i, keyed by (power index or
+        # None for the target, min_bound): the degree pairs of one total and
+        # their row doublings ask for the same ones, and no other total does.
+        expansions: dict = {}
         for deg_p in range(min(total, max_degree), -1, -1):
             deg_q = total - deg_p
             if deg_q > max_degree:
                 continue
-            fit = _try_fit(target, h, level, deg_p, deg_q, config)
+            fit = _try_fit(target, h, level, deg_p, deg_q, config, expansions)
             if fit is not None:
                 return fit
     raise NoFitWithinBounds(
@@ -237,12 +241,19 @@ def fit_rational(
     )
 
 
-def _try_fit(target, h, level, deg_p, deg_q, config) -> HauptFit | None:
+def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptFit | None:
+    def expand(i, min_bound):
+        key = (i, min_bound)
+        if key not in expansions:
+            expr = target if i is None else Pow(h, Fraction(i)) if i else Const(Fraction(1))
+            expansions[key] = evaluate_to_bound(expr, min_bound)
+        return expansions[key]
+
     rows = 24 + 6 * (deg_p + deg_q)
     for _ in range(4):
         min_bound = Fraction(rows + deg_p + deg_q + 2)
-        h_pows = [evaluate_to_bound(Pow(h, Fraction(i)) if i else Const(Fraction(1)), min_bound) for i in range(max(deg_p, deg_q) + 1)]
-        t_series = evaluate_to_bound(target, min_bound)
+        h_pows = [expand(i, min_bound) for i in range(max(deg_p, deg_q) + 1)]
+        t_series = expand(None, min_bound)
         columns = [t_series * h_pows[j] for j in range(deg_q + 1)]
         columns += [h_pows[i] * Fraction(-1) for i in range(deg_p + 1)]
         kernel = kernel_basis(series_window_matrix(columns, rows))

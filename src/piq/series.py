@@ -242,13 +242,6 @@ class ScaledSeries:
         """Coefficientwise equality over the shared tracked range."""
         return (self - other).is_zero(upto)
 
-    def first_difference(self, other: "ScaledSeries"):
-        """First (exponent, self coeff, other coeff) mismatch, or None within shared precision."""
-        diff = self - other
-        for e, _ in diff.items():
-            return e, self.coefficient(e), other.coefficient(e)
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, ScaledSeries):
             return NotImplemented

@@ -63,7 +63,7 @@ from .ident import (
     _single_pi_term,
 )
 from .quasimod import E2Combo, E4Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
-from .series import INF, ScaledSeries, _frac
+from .series import INF, ScaledSeries, _frac, _top_numerator
 
 
 def sturm_bound(level: int, weight: int) -> int:
@@ -273,40 +273,87 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
 # ---------------------------------------------------------------------------
 
 
+def _pi_window(mono: PiMonomial, min_bound: Fraction) -> int:
+    # The expansion is known past valuation + t >= min_bound + 4.
+    return max(8, math.ceil(min_bound - mono.valuation) + 4)
+
+
 def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
     """Expansion of a Pi-monomial with bound at least min_bound."""
-    # The expansion is known past valuation + t >= min_bound + 4.
-    t = max(8, math.ceil(_frac(min_bound) - mono.valuation) + 4)
-    return mono.expand(t)
+    return mono.expand(_pi_window(mono, _frac(min_bound)))
 
 
-def _term_series(t: Term, min_bound) -> ScaledSeries:
+def _pi_sum(pairs, min_bound: Fraction) -> ScaledSeries:
+    """Expansion of sum coef * mono over (coef, mono) pairs, bound at least min_bound.
+
+    Each part's integer numerators are added, scaled over the lcm of the
+    coefficient denominators, onto one accumulator on the lcm of the parts'
+    lattices, cut at the smallest part bound so far; the result is exactly
+    the sum of the parts' ``_pi_series(mono, min_bound) * coef``.
+    """
+    pairs = [(coef, mono) for coef, mono in pairs if coef]
+    if not pairs:
+        return ScaledSeries.zero()
+    den = math.lcm(*(coef.denominator for coef, _ in pairs))
+    scale, bound, acc = 1, INF, {}
+    for coef, mono in pairs:
+        part_scale, nums, part_bound = mono.numerators(_pi_window(mono, min_bound))
+        if scale % part_scale:
+            grow = part_scale // math.gcd(scale, part_scale)
+            acc = {n * grow: x for n, x in acc.items()}
+            scale *= grow
+        bound = min(bound, part_bound)
+        top = _top_numerator(bound, scale)
+        step = scale // part_scale
+        mult = coef.numerator * (den // coef.denominator)
+        for n, x in nums.items():
+            n *= step
+            if top is not None and n > top:
+                break  # numerators come in increasing order
+            acc[n] = acc.get(n, 0) + mult * x
+    return ScaledSeries._from_numerators(
+        scale, {n: Fraction(x, den) for n, x in acc.items()}, bound
+    )
+
+
+def _term_series(t: Term, min_bound: Fraction, roots: dict) -> ScaledSeries:
+    """Expansion of a term carrying combinations or radicals.
+
+    ``roots`` maps each radical to its square root at this min_bound, so a
+    radical shared by several terms is rooted once.
+    """
     s = _pi_series(t.pi, min_bound) * t.coef
-    window = max(1, math.ceil(_frac(min_bound)))
+    window = max(1, math.ceil(min_bound))
     for combo in t.lamberts:
         s = s * combo.expand(window)
     for atom in t.sqrts:
-        inner = ScaledSeries.zero()
-        for it in atom.inner:
-            inner = inner + _pi_series(it.pi, min_bound) * it.coef
-        s = s * inner.pow(Fraction(1, 2), terms=window)
+        if atom not in roots:
+            inner = _pi_sum(((it.coef, it.pi) for it in atom.inner), min_bound)
+            roots[atom] = inner.pow(Fraction(1, 2), terms=window)
+        s = s * roots[atom]
     return s
+
+
+def _rts_sum(terms, min_bound: Fraction) -> ScaledSeries:
+    """Atom-free terms summed as integers, then the other terms one by one."""
+    out = _pi_sum(((t.coef, t.pi) for t in terms if not (t.lamberts or t.sqrts)), min_bound)
+    roots: dict = {}
+    for t in terms:
+        if t.lamberts or t.sqrts:
+            out = out + _term_series(t, min_bound, roots)
+    return out
 
 
 def rts_series(terms, min_bound) -> ScaledSeries:
     """Expansion of a reduced term sum with bound at least min_bound."""
     min_bound = _frac(min_bound)
-    out = ScaledSeries.zero()
-    for t in terms:
-        out = out + _term_series(t, min_bound)
+    out = _rts_sum(terms, min_bound)
     # Guard: operations can only have shrunk the bound below the request if
     # a radical or combination windows interacted; grow windows until met.
     attempt = 0
     while out.bound != INF and out.bound < min_bound and attempt < 6:
         attempt += 1
-        out = ScaledSeries.zero()
-        for t in terms:
-            out = out + _term_series(t, min_bound + attempt * 8)
+        out = _rts_sum(terms, min_bound + attempt * 8)
     return out
 
 

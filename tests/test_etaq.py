@@ -149,10 +149,15 @@ class TestOrders:
             mono = PiMonomial.make(exps)
             if not mono.exponents:
                 continue
-            level = 2 * math.lcm(*mono.indices())
-            quotient = pi_to_eta(mono, level)
-            for c in cusps(level):
-                assert pi_order_at_cusp(mono, c, level) == ligozat_value(quotient, c)
+            for mult in (1, 2, 3):
+                level = 2 * math.lcm(*mono.indices()) * mult
+                quotient = pi_to_eta(mono, level)
+                for c in cusps(level):
+                    assert pi_order_at_cusp(mono, c, level) == ligozat_value(quotient, c)
+
+    def test_pi_order_needs_indices_dividing_the_level(self):
+        with pytest.raises(LevelMismatch):
+            pi_order_at_cusp(PiMonomial.make({3: 1}), Cusp(1, 2), 2)
 
     def test_valence_identity(self):
         # Sum of cusp orders equals weight * index / 12 for certified quotients.

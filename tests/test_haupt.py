@@ -139,6 +139,24 @@ class TestFit:
         inf_col = list(table.cusp_labels).index("oo")
         assert t_row[inf_col] == deg_q - deg_p
 
+    def test_expansions_not_repeated_within_a_fit(self, monkeypatch):
+        # The level-12 fit tries every degree pair up to total 3; each
+        # (expression, bound) is expanded once for the whole fit.
+        import piq.haupt as haupt
+
+        seen = []
+        real = haupt.evaluate_to_bound
+
+        def counting(expr, min_bound, *args, **kwargs):
+            seen.append((expr, min_bound))
+            return real(expr, min_bound, *args, **kwargs)
+
+        monkeypatch.setattr(haupt, "evaluate_to_bound", counting)
+        fit = fit_rational(pe("pi(3)^2/pi(1)^2"), pe("pi(2)/pi(6)"), 12)
+        assert (fit.numerator, fit.denominator) == ((-1, 1), (0, 3, 1))
+        assert len({b for _, b in seen}) > 1
+        assert len(seen) == len(set(seen))
+
     def test_q_roots_match_level12_story(self):
         fit = fit_rational(pe("pi(3)^2/pi(1)^2"), pe("pi(2)/pi(6)"), 12)
         # Q(h) = 3h + h^2 = h(h + 3): roots 0 and -3

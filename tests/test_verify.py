@@ -1,18 +1,23 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import piq
+import piq.verify as verify_module
 from piq.etaq import PiMonomial
-from piq.ident import Term, parse_identity
+from piq.ident import SqrtAtom, Term, parse_identity
+from piq.quasimod import E2Combo, E4Combo
 from piq.series import ScaledSeries as S
 from piq.verify import (
     ProveConfig,
+    _pi_series,
     _search_clearing,
     check,
     prove,
     root_match,
+    rts_series,
     sturm_bound,
 )
 
@@ -323,3 +328,129 @@ class TestRootBranchRefutation:
         )
         assert rep.verdict == "REFUTED"
         assert "leading" in rep.detail
+
+
+def _reference_rts_series(terms, min_bound):
+    """rts_series as one Fraction series per term, added one by one."""
+
+    def term_series(t, b):
+        s = _pi_series(t.pi, b) * t.coef
+        window = max(1, math.ceil(b))
+        for combo in t.lamberts:
+            s = s * combo.expand(window)
+        for atom in t.sqrts:
+            inner = S.zero()
+            for it in atom.inner:
+                inner = inner + _pi_series(it.pi, b) * it.coef
+            s = s * inner.pow(F(1, 2), terms=window)
+        return s
+
+    def total(b):
+        out = S.zero()
+        for t in terms:
+            out = out + term_series(t, b)
+        return out
+
+    min_bound = F(min_bound)
+    out = total(min_bound)
+    attempt = 0
+    while out.bound != math.inf and out.bound < min_bound and attempt < 6:
+        attempt += 1
+        out = total(min_bound + attempt * 8)
+    return out
+
+
+def _fields(s):
+    return s.scale, s.offset, s.coeffs, s.bound
+
+
+def _pm(exps):
+    return PiMonomial.make(exps)
+
+
+class TestRtsSeriesIntegerSum:
+    """The integer term sum equals the per-term Fraction loop, field for field."""
+
+    SHARED = SqrtAtom((Term(F(1), _pm({1: 2})), Term(F(3), _pm({1: 1, 2: 1}))))
+    CASES = {
+        "mixed_denominators": (
+            [Term(F(1, 3), _pm({1: 2})), Term(F(-5, 4), _pm({1: 1, 2: 1})),
+             Term(F(7, 6), _pm({2: F(1, 2), 4: F(3, 2)}))],
+            20,
+        ),
+        "lattices_quarter_and_eighth": (
+            [Term(F(2), _pm({1: 1})), Term(F(-1, 2), _pm({1: F(1, 2)})),
+             Term(F(3), _pm({3: 2, 1: -1})), Term(F(1, 5), _pm({6: F(1, 2), 2: F(1, 2)}))],
+            F(31, 3),
+        ),
+        "constant_term": ([Term(F(3, 2), PiMonomial.one()), Term(F(1), _pm({2: 2}))], 12),
+        "only_constants": ([Term(F(3, 2), PiMonomial.one()), Term(F(-1, 7), PiMonomial.one())], 5),
+        "cancelled_to_zero": (
+            [Term(F(2), PiMonomial.one()), Term(F(1, 3), _pm({1: 3})),
+             Term(F(-2), PiMonomial.one()), Term(F(-1, 3), _pm({1: 3}))],
+            9,
+        ),
+        # pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 4, cleared: parts with
+        # different bounds cancel, and the smallest bound is kept.
+        "true_identity_cancels": (
+            [Term(F(1), _pm({1: 2, 4: 1})), Term(F(-1), _pm({2: 3})),
+             Term(F(-4), _pm({2: 1, 4: 2}))],
+            15,
+        ),
+        "zero_coefficient": ([Term(F(0), _pm({1: 1})), Term(F(1), _pm({2: 1}))], 7),
+        "e2_e4_combinations": (
+            [Term(F(1, 3), _pm({1: 2}), (E2Combo.make({1: 1, 2: -2}),)),
+             Term(F(-1), _pm({1: 1, 2: 1})),
+             Term(F(2), _pm({2: 2}), (E4Combo.make({1: 1, 2: F(-1, 2)}),))],
+            14,
+        ),
+        "shared_radical": (
+            [Term(F(1), _pm({1: 1}), (), (SHARED,)), Term(F(-2, 3), _pm({2: 1}), (), (SHARED,)),
+             Term(F(5), _pm({1: 2}))],
+            11,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case(self, name):
+        terms, bound = self.CASES[name]
+        got = rts_series(tuple(terms), bound)
+        assert _fields(got) == _fields(_reference_rts_series(tuple(terms), bound))
+        if name.endswith("cancels"):
+            assert got.is_zero() and got.bound != math.inf
+
+    @pytest.mark.parametrize("rid", ["L12-3", "L18-4"])
+    def test_reduced_corpus_sides(self, rid, monkeypatch):
+        # Every sum the prover expands for the record, root-branch sides included.
+        seen = []
+        real = verify_module.rts_series
+
+        def recording(terms, min_bound):
+            seen.append((terms, min_bound))
+            return real(terms, min_bound)
+
+        monkeypatch.setattr(verify_module, "rts_series", recording)
+        rec = next(r for r in piq.load_corpus() if r.id == rid)
+        assert prove(rec).verdict == "PROVEN"
+        monkeypatch.undo()
+        assert len(seen) >= 2
+        for terms, min_bound in seen:
+            assert _fields(rts_series(terms, min_bound)) == _fields(
+                _reference_rts_series(terms, min_bound)
+            )
+
+    def test_seeded_random_sums(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                idx = rng.sample([1, 2, 3, 4, 6], rng.randint(0, 3))
+                mono = _pm({n: F(rng.randint(-4, 4), 2) for n in idx})
+                coef = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 12]))
+                terms.append(Term(coef, mono))
+                if rng.random() < 0.2:
+                    terms.append(Term(-coef, mono))
+            bound = F(rng.randint(1, 40), rng.choice([1, 2, 3]))
+            assert _fields(rts_series(tuple(terms), bound)) == _fields(
+                _reference_rts_series(tuple(terms), bound)
+            ), (terms, bound)
