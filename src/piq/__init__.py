@@ -52,7 +52,6 @@ from .ident import (
     IdentityRecord,
     evaluate,
     evaluate_to_bound,
-    normalize_polynomial,
     parse,
     parse_corpus,
     parse_expression,

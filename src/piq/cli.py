@@ -62,14 +62,11 @@ def _load_records(args) -> list[IdentityRecord]:
 
 
 def _run_one(payload):
-    rec, mode, terms, max_clear_weight, max_coefficients = payload
+    rec, mode, terms, max_coefficients = payload
     mode = rec.hints.mode or mode
     if mode == "check":
         return check(rec, terms)
-    return prove(
-        rec,
-        ProveConfig(max_clear_weight=max_clear_weight, max_coefficients=max_coefficients),
-    )
+    return prove(rec, ProveConfig(max_coefficients=max_coefficients))
 
 
 def _report_text(rep: ProofReport, verbose: bool) -> str:
@@ -118,10 +115,7 @@ def cmd_verify(args) -> int:
     terms = args.terms
     if cap is not None:
         terms = min(terms, cap)
-    payloads = [
-        (rec, args.mode, terms, args.max_clear_weight, args.max_coefficients)
-        for rec in records
-    ]
+    payloads = [(rec, args.mode, terms, args.max_coefficients) for rec in records]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_run_one, payloads))
@@ -259,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--mode", choices=["proof", "check"], default="proof")
     v.add_argument("--terms", type=int, default=100, help="check-mode coefficient window")
     v.add_argument("--report", choices=["text", "tsv"], default="text")
-    v.add_argument("--max-clear-weight", type=int, default=16)
     v.add_argument("--max-coefficients", type=int, default=2000)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--verbose", "-v", action="store_true")

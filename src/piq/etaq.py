@@ -255,9 +255,6 @@ class PiMonomial:
     def subst(self, j: int) -> "PiMonomial":
         return PiMonomial.make({n * j: k for n, k in self.exponents})
 
-    def sort_key(self):
-        return tuple(sorted(self.exponents))
-
     def expand(self, terms: int) -> ScaledSeries:
         """q-expansion through the eta quotient at level 2*lcm(indices).
 

@@ -1,4 +1,4 @@
-"""Identity DSL: grammar, parser, AST, evaluation, and polynomial normal form.
+"""Identity DSL: grammar, parser, AST, evaluation, and the term algebra.
 
 Grammar (version header ``piqdsl 1``)::
 
@@ -531,7 +531,7 @@ def evaluate_to_bound(expr: Expr, min_bound, max_terms: int | None = None) -> Sc
 
 
 # ---------------------------------------------------------------------------
-# polynomial normal form
+# term algebra
 # ---------------------------------------------------------------------------
 
 
@@ -822,19 +822,6 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
     raise NotPolynomializable(f"unsupported fractional exponent {e}")
 
 
-@dataclass(frozen=True)
-class PolyForm:
-    """One-sided polynomial form of an identity.
-
-    ``terms`` is the cleared difference; multiplying (lhs - rhs) by the
-    ``denominator`` term sum and the ``clearing`` monomial reproduces it.
-    """
-
-    terms: tuple
-    clearing: PiMonomial
-    denominator: tuple = TS_ONE
-
-
 def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> PiMonomial:
     """Monomial multiplier making every exponent nonnegative with no common factor.
 
@@ -861,25 +848,16 @@ def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> 
     return PiMonomial.make({n: -k for n, k in mins.items() if k != 0})
 
 
-def normalize_polynomial(rec: IdentityRecord) -> PolyForm:
-    """Move everything to one side, clear denominators and negative Pi powers."""
-    fl, fr = _build(rec.lhs), _build(rec.rhs)
-    f = fl + (-fr)
-    m = net_clearing_monomial(f.num)
-    return PolyForm(terms=ts_mul(f.num, (Term(Fraction(1), m),)), clearing=m, denominator=f.den)
-
-
-def build_sides(rec: IdentityRecord) -> tuple[tuple, tuple, PiMonomial]:
+def build_sides(rec: IdentityRecord) -> tuple[tuple, tuple]:
     """Cleared left and right term sums over a common denominator.
 
-    Returns (lhs_terms, rhs_terms, clearing); the clearing monomial is
-    computed from the union of both sides, so lhs_terms - rhs_terms matches
-    normalize_polynomial(rec).terms whenever no cross-side cancellation
-    removes an extreme exponent.
+    Each side's numerator is multiplied by the other side's denominator, and
+    both by the one clearing monomial of their union, so every Pi exponent
+    is nonnegative and no Pi factor is common to all terms.
     """
     fl, fr = _build(rec.lhs), _build(rec.rhs)
     lnum = ts_mul(fl.num, fr.den)
     rnum = ts_mul(fr.num, fl.den)
     m = net_clearing_monomial(tuple(lnum) + tuple(rnum))
     mt = (Term(Fraction(1), m),)
-    return ts_mul(lnum, mt), ts_mul(rnum, mt), m
+    return ts_mul(lnum, mt), ts_mul(rnum, mt)

@@ -186,15 +186,6 @@ class ScaledSeries:
         """Exact exponent b with the series known modulo O(q^b); inf if exact."""
         return self._bound
 
-    @property
-    def prec(self):
-        """Number of tracked lattice coefficients from the offset up to the bound."""
-        if self._bound == INF:
-            return INF
-        limit = self._bound * self._scale
-        top = math.ceil(limit) if limit != int(limit) else int(limit)
-        return max(0, top - self._offset)
-
     def items(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
         for i, c in enumerate(self._coeffs):
@@ -511,9 +502,6 @@ class ScaledSeries:
 
     def sqrt(self, terms: int | None = None) -> "ScaledSeries":
         return self.pow(Fraction(1, 2), terms)
-
-    def inverse(self, terms: int | None = None) -> "ScaledSeries":
-        return self.pow(-1, terms)
 
     def truncated(self, bound) -> "ScaledSeries":
         """Forget knowledge beyond the given exponent bound."""

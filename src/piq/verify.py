@@ -10,8 +10,9 @@ The pipeline for :func:`prove`:
     ``quasimod.combo_rules`` collapse quartic Lambert pairs to the cube sum
     and turn the cube sum into an E4 difference, an E4 atom stands as its
     own E4 combination, and the remaining patterns become E2 combinations
-    whose constants are split off and merged with the other constant terms.  A reduced term is a ``Term`` whose atom slot
-    holds these certified ``E2Combo``/``E4Combo`` factors.
+    whose constants are split off and merged with the other constant terms.
+    A reduced term is a ``Term`` whose atom slot holds these certified
+    ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
     signature (at most two groups after an optional radical multiplication
     that merges reciprocal radicals), each group sum is squared, and a final
@@ -21,9 +22,13 @@ The pipeline for :func:`prove`:
     residue of sum(k_i n_i) mod 4; the residue fixes the substitution
     exponent m in {1, 2, 4}, applied to Pi indices and combination scales.
 5.  The level is N = lcm(2 m lcm(n_i), all combination scales).  Every term
-    must be holomorphic: nonnegative cusp orders for the Pi part (searching
-    a clearing monomial if needed) and certified combinations (sum a_d/d = 0
-    for E2; E4 sums are unconditional).
+    must be holomorphic: nonnegative cusp orders for the Pi part and
+    certified combinations (sum a_d/d = 0 for E2; E4 sums are
+    unconditional).  The clearing monomial leaves every Pi exponent
+    nonnegative, and as Pi_n = eta(2nz)^4/eta(nz)^2 the order of Pi_n at a
+    cusp c/s is a nonnegative multiple of gcd(s,2n)^2 - gcd(s,n)^2 >= 0.
+    The orders are still checked: a negative one leaves the identity
+    uncertified.
 6.  Both sides are expanded and compared coefficient by coefficient up to
     the Sturm bound floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1.  The shared
     character is quadratic, and equality of squares reduces that case to the
@@ -33,7 +38,6 @@ The pipeline for :func:`prove`:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,7 +46,6 @@ from .errors import PiqError
 from .etaq import (
     PiMonomial,
     cusps,
-    divisors,
     index_gamma0,
     pi_order_at_cusp,
 )
@@ -87,7 +90,6 @@ def root_match(f: ScaledSeries, g: ScaledSeries, ell: int = 2) -> bool:
 
 @dataclass(frozen=True)
 class ProveConfig:
-    max_clear_weight: int = 16
     max_coefficients: int = 2000
 
 
@@ -195,16 +197,35 @@ def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
     return work
 
 
-def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
-    """Rewrite Lambert atoms to certified combinations and split constants."""
-    citations: list[str] = []
-    work = _apply_pair_rule(terms, citations)
+def _split_constants(coef, e2s, pi, e4s, sqrts) -> list[Term]:
+    """Terms of coef * prod(e2s) * pi * prod(e4s) * sqrts, with each E2
+    combination's constant split off into terms of its own."""
+    branches = [(coef, ())]
+    for combo in e2s:
+        nxt = []
+        for c, mods in branches:
+            if combo.terms:
+                nxt.append((c, mods + (combo.drop_constant(),)))
+            if combo.constant != 0:
+                nxt.append((c * combo.constant, mods))
+        branches = nxt
+    return [Term(c, pi, tuple(sorted(mods + e4s, key=_key)), sqrts) for c, mods in branches]
 
-    # Convert Lambert atoms; E2-style combos keep their constants for now.
-    staged = []  # (coef, pi, [E2Combo with const], [E4Combo], sqrts)
-    for t in work:
+
+def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
+    """Rewrite Lambert atoms to certified combinations and split constants.
+
+    Terms with exactly one E2 combination and equal other factors fold into
+    one term carrying the coefficient-weighted sum; the fold is what turns a
+    list of individually quasimodular Lambert sums into one certifiable
+    combination.
+    """
+    citations: list[str] = []
+    out: list[Term] = []
+    folds: dict = {}  # (pi, E4 factors, radicals) -> accumulated E2 combination
+    for t in _apply_pair_rule(terms, citations):
         e2s: list[E2Combo] = []
-        e4s: list = []
+        e4s: list[E4Combo] = []
         for spec in t.lamberts:
             hit = combo_rules([(1, spec)])
             if hit is not None:
@@ -225,46 +246,13 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
         for atom in t.sqrts:
             if any(u.lamberts for u in atom.inner):
                 raise _Uncertifiable("Lambert series under a radical")
-        staged.append([t.coef, t.pi, e2s, e4s, t.sqrts])
-
-    # Fold groups with exactly one E2 combination each into a single term
-    # carrying the coefficient-weighted sum; the fold is what turns a list of
-    # individually quasimodular Lambert sums into one certifiable combination.
-    groups: dict = {}
-    for entry in staged:
-        coef, pi, e2s, e4s, sqrts = entry
-        key = (
-            pi.exponents,
-            tuple(sorted(c.key() for c in e4s)),
-            tuple(a.key() for a in sqrts),
-            len(e2s),
-        )
-        groups.setdefault(key, []).append(entry)
-    folded = []
-    for key, entries in sorted(groups.items()):
-        if key[3] == 1 and len(entries) >= 1:
-            total = E2Combo.make({})
-            first = entries[0]
-            for coef, pi, e2s, e4s, sqrts in entries:
-                total = total + e2s[0] * coef
-            folded.append([Fraction(1), first[1], [total], first[3], first[4]])
+        key = (t.pi, tuple(sorted(e4s, key=_key)), t.sqrts)
+        if len(e2s) == 1:
+            folds[key] = folds.get(key, E2Combo.make({})) + e2s[0] * t.coef
         else:
-            folded.extend(entries)
-
-    # Split combination constants into plain terms and keep modular parts.
-    out: list[Term] = []
-    for coef, pi, e2s, e4s, sqrts in folded:
-        branches = [(coef, [])]
-        for combo in e2s:
-            nxt = []
-            for c, mods in branches:
-                if combo.terms:
-                    nxt.append((c, mods + [combo.drop_constant()]))
-                if combo.constant != 0:
-                    nxt.append((c * combo.constant, mods))
-            branches = nxt
-        for c, mods in branches:
-            out.append(Term(c, pi, tuple(sorted(mods + e4s, key=_key)), tuple(sqrts)))
+            out.extend(_split_constants(t.coef, e2s, *key))
+    for key, total in folds.items():
+        out.extend(_split_constants(Fraction(1), [total], *key))
     return ts_make(out), sorted(set(citations))
 
 
@@ -374,53 +362,6 @@ def _cusp_orders(monos, cusp_list, level: int) -> dict:
     }
 
 
-def _search_clearing(lhs, rhs, level: int, max_weight: int, orders=None):
-    """Breadth-first search for a monomial fixing negative cusp orders.
-
-    Candidates are supported on divisors of the lcm of the present indices,
-    carry residue 0 mod 4 (so the substitution stays valid), and are tried in
-    increasing weight, ties broken by lexicographically smallest exponents.
-    ``orders`` maps each term's Pi monomial to its orders over cusps(level);
-    it is computed here when not given.
-    """
-    terms = list(lhs) + list(rhs)
-    cusp_list = cusps(level)
-    if orders is None:
-        orders = _cusp_orders((t.pi for t in terms), cusp_list, level)
-    worst = [min(0, *col) for col in zip(*orders.values())]
-    if all(v >= 0 for v in worst):
-        return None
-    indices = sorted({n for t in terms for n, _ in t.pi.exponents})
-    if not indices:
-        raise _Uncertifiable("negative cusp orders with no Pi support")
-    support = [d for d in divisors(math.lcm(*indices)) if level % (2 * d) == 0]
-
-    def candidates(weight):
-        def rec(rem, pos):
-            if pos == len(support):
-                if rem == 0:
-                    yield ()
-                return
-            for k in range(rem, -1, -1):
-                for tail in rec(rem - k, pos + 1):
-                    yield (k,) + tail
-
-        for exps in rec(weight, 0):
-            yield PiMonomial.make(dict(zip(support, exps)))
-
-    for w in range(1, max_weight + 1):
-        for mono in candidates(w):
-            if mono.exponent_weighted_sum % 4 != 0:
-                continue
-            if all(
-                pi_order_at_cusp(mono, c, level) + w >= 0 for c, w in zip(cusp_list, worst)
-            ):
-                return mono
-    raise _Uncertifiable(
-        f"clearing search exhausted at weight {max_weight} for level {level}"
-    )
-
-
 def _common_weight(terms) -> Fraction:
     weights = {t.weight for t in terms}
     if len(weights) > 1:
@@ -482,7 +423,7 @@ def prove(rec: IdentityRecord, config: ProveConfig | None = None) -> ProofReport
 
 
 def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
-    lhs_t, rhs_t, _ = build_sides(rec)
+    lhs_t, rhs_t = build_sides(rec)
     if rec.hints.clear:
         mt = (Term(Fraction(1), _parse_clear_hint(rec.hints.clear)),)
         lhs_t, rhs_t = ts_mul(lhs_t, mt), ts_mul(rhs_t, mt)
@@ -561,23 +502,14 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         for combo in t.lamberts:
             level = math.lcm(level, combo.level)
 
-    # Each term's cusp orders are computed once, for the clearing search and
-    # the certificate; a clearing multiplier adds its own orders to them.
     cusp_list = cusps(level)
     orders = _cusp_orders((t.pi for t in diff), cusp_list, level)
-    extra_clear = _search_clearing(diff, (), level, cfg.max_clear_weight, orders)
-    if extra_clear is not None:
-        mult = (Term(Fraction(1), extra_clear),)
-        lhs, rhs, diff = ts_mul(lhs, mult), ts_mul(rhs, mult), ts_mul(diff, mult)
-        shift = _cusp_orders([extra_clear], cusp_list, level)[extra_clear]
-        orders = {
-            p * extra_clear: tuple(map(operator.add, o, shift)) for p, o in orders.items()
-        }
-        net_clear = net_clear * extra_clear
-        weight = _common_weight(diff)
-        citations.append(f"cusp clearing multiplier {extra_clear.exponents}")
-
     for t in diff:
+        for c, o in zip(cusp_list, orders[t.pi]):
+            if o < 0:
+                raise _Uncertifiable(
+                    f"term {t.describe()} has order {o} at cusp {c.label(level)}"
+                )
         if t.sqrts:
             raise _Uncertifiable("radical survived the squaring round")
         for combo in t.lamberts:

@@ -26,13 +26,14 @@ from piq.ident import (
     build_sides,
     evaluate,
     evaluate_to_bound,
-    normalize_polynomial,
     parse_corpus,
     parse_expression,
     parse_identity,
     Term,
     to_dsl,
+    ts_add,
     ts_make,
+    ts_neg,
 )
 from piq.quasimod import E2Combo, E4Combo, expand_lambert
 from piq.series import ScaledSeries, psi_expansion
@@ -168,11 +169,16 @@ def _ts_series(terms, bound):
     return out
 
 
+def _cleared_difference(rec):
+    lhs_t, rhs_t = build_sides(rec)
+    return ts_add(lhs_t, ts_neg(rhs_t))
+
+
 class TestNormalize:
     def test_l8_1_cleared_terms(self):
         rec = parse_identity("pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 4", id="L8-1")
-        pf = normalize_polynomial(rec)
-        got = {t.pi.exponents: t.coef for t in pf.terms}
+        diff = _cleared_difference(rec)
+        got = {t.pi.exponents: t.coef for t in diff}
         want = {
             PiMonomial.make({1: 2, 4: 1}).exponents: F(1),
             PiMonomial.make({2: 3}).exponents: F(-1),
@@ -180,36 +186,36 @@ class TestNormalize:
         }
         assert got == want
         # every cleared term has weight 3 and exponent sum 2 mod 4
-        for t in pf.terms:
+        for t in diff:
             assert t.pi.weight == 3
             assert t.pi.exponent_weighted_sum % 4 == 2
 
     def test_l12_1_terms(self):
         rec = parse_identity("pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2")
-        pf = normalize_polynomial(rec)
-        assert len(pf.terms) == 4
-        for t in pf.terms:
+        diff = _cleared_difference(rec)
+        assert len(diff) == 4
+        for t in diff:
             assert t.pi.weight == 2
             assert t.pi.exponent_weighted_sum % 4 == 0
 
     def test_already_polynomial_is_identity(self):
-        rec = parse_identity("pi(1)*pi(3) = pi(2)^2")
-        pf = normalize_polynomial(rec)
-        assert not pf.clearing.exponents
-        assert {t.coef for t in pf.terms} == {F(1), F(-1)}
+        lhs_t, rhs_t = build_sides(parse_identity("pi(1)*pi(3) = pi(2)^2"))
+        assert lhs_t == (Term(F(1), PiMonomial.make({1: 1, 3: 1})),)
+        assert rhs_t == (Term(F(1), PiMonomial.make({2: 2})),)
 
     def test_sqrt_flag_carried(self):
         rec = parse_identity("sqrt(pi(1)*pi(3)) = pi(2)")
-        pf = normalize_polynomial(rec)
-        assert any(bool(t.sqrts) for t in pf.terms)
+        assert any(bool(t.sqrts) for t in _cleared_difference(rec))
 
     def test_nested_radical_rejected(self):
         with pytest.raises(NotPolynomializable):
-            normalize_polynomial(parse_identity("sqrt(1 + sqrt(1 + pi(1))) = 1"))
+            build_sides(parse_identity("sqrt(1 + sqrt(1 + pi(1))) = 1"))
 
     def test_normalized_series_matches_cleared_difference(self):
-        # evaluate(normalize(rec)) == (evaluate(lhs) - evaluate(rhs)) * den * clearing
-        # for every corpus record without radicals
+        # build_sides multiplies lhs = n_l/d_l and rhs = n_r/d_r into
+        # lhs_t = n_l d_r m and rhs_t = n_r d_l m, so lhs_t * rhs equals
+        # rhs_t * lhs formally, for every radical-free corpus record, true
+        # or not.
         def has_sqrt(expr):
             from piq.ident import Lambert, Subst
             if isinstance(expr, Sqrt):
@@ -223,22 +229,13 @@ class TestNormalize:
         for rec in piq.load_corpus():
             if has_sqrt(rec.lhs) or has_sqrt(rec.rhs):
                 continue
-            pf = normalize_polynomial(rec)
+            lhs_t, rhs_t = build_sides(rec)
             bound = 12
             lhs = evaluate_to_bound(rec.lhs, bound)
             rhs = evaluate_to_bound(rec.rhs, bound)
-            den = _ts_series(pf.denominator, bound)
-            clear = _pi_series(pf.clearing, bound)
-            direct = (lhs - rhs) * den * clear
-            assert _ts_series(pf.terms, bound).agrees_with(direct, upto=10), rec.id
-
-    def test_build_sides_consistent_with_normalize(self):
-        rec = parse_identity("pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 4")
-        lhs_t, rhs_t, clearing = build_sides(rec)
-        pf = normalize_polynomial(rec)
-        diff = ts_make(list(lhs_t) + [type(t)(-t.coef, t.pi, t.lamberts, t.sqrts) for t in rhs_t])
-        assert diff == pf.terms
-        assert clearing.exponents == pf.clearing.exponents
+            cross = _ts_series(lhs_t, bound) * rhs - _ts_series(rhs_t, bound) * lhs
+            assert cross.bound >= 10, rec.id
+            assert cross.is_zero(10), rec.id
 
     def test_reduced_terms_order_e2_factors_before_e4_factors(self):
         # With one Pi part, a term with no E2 factor sorts before one with

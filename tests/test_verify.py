@@ -11,9 +11,7 @@ from piq.ident import SqrtAtom, Term, parse_identity
 from piq.quasimod import E2Combo, E4Combo
 from piq.series import ScaledSeries as S
 from piq.verify import (
-    ProveConfig,
     _pi_series,
-    _search_clearing,
     check,
     prove,
     root_match,
@@ -131,13 +129,6 @@ class TestProve:
     def test_trivial_identity(self):
         rep = prove(parse_identity("1 = 1", id="one"))
         assert rep.verdict == "PROVEN"
-
-    def test_monotone_in_clear_weight(self):
-        rec = parse_identity("pi(2)*pi(3)^2/(pi(6)*pi(1)^2) = (pi(2) - pi(6))/(pi(2) + 3*pi(6))", id="L12-2")
-        r1 = prove(rec, ProveConfig(max_clear_weight=16))
-        r2 = prove(rec, ProveConfig(max_clear_weight=32))
-        assert r1.verdict == r2.verdict == "PROVEN"
-        assert (r1.weight, r1.level, r1.sturm_bound) == (r2.weight, r2.level, r2.sturm_bound)
 
 
 class TestCertificatePins:
@@ -285,25 +276,16 @@ class TestCheck:
 
 
 class TestClearingSearch:
-    def test_search_finds_monomial_for_negative_orders(self):
-        # A term with a pole at some cusp: Pi_2^2 / Pi_1 at level 4 shifted
-        terms = (Term(F(1), PiMonomial.make({1: -1, 2: 2})), Term(F(1), PiMonomial.make({1: 3})))
-        mono = _search_clearing(terms, (), 4, 16)
-        assert mono is not None
-        from piq.etaq import cusps, pi_order_at_cusp
-
-        for t in terms:
-            for c in cusps(4):
-                assert pi_order_at_cusp(t.pi * mono, c, 4) >= 0
-        assert mono.exponent_weighted_sum % 4 == 0
+    """Clearing and holomorphy: cusp orders add under multiplication, and a
+    term left with a pole is refused by name."""
 
     def test_clearing_adds_its_cusp_orders(self):
-        # The prover shifts each term's order vector by the multiplier's
-        # instead of recomputing it; that rests on orders being additive.
+        # Cusp orders add over products of Pi monomials: a term's order
+        # after clearing is its own plus the clearing multiplier's.
         from piq.etaq import cusps, pi_order_at_cusp
 
         terms = (Term(F(1), PiMonomial.make({1: -1, 2: 2})), Term(F(1), PiMonomial.make({1: 3})))
-        mono = _search_clearing(terms, (), 4, 16)
+        mono = PiMonomial.make({1: 2, 2: 1})
         rng = random.Random(7)
         monos = [t.pi for t in terms] + [
             PiMonomial.make({n: F(rng.randint(-6, 6), 2) for n in (1, 2, 3, 6)}) for _ in range(20)
@@ -313,9 +295,21 @@ class TestClearingSearch:
                 direct = pi_order_at_cusp(p * mono, c, 24)
                 assert direct == pi_order_at_cusp(p, c, 24) + pi_order_at_cusp(mono, c, 24)
 
-    def test_no_search_needed_for_nonnegative(self):
-        terms = (Term(F(1), PiMonomial.make({1: 2, 2: 2})),)
-        assert _search_clearing(terms, (), 4, 16) is None
+    def test_negative_cusp_order_is_uncertified(self, monkeypatch):
+        # With the clearing monomial disabled, the clear hint leaves the term
+        # Pi[1]^-2 Pi[2]^3, of order -1/2 at the cusp 1/2 of level 4.
+        from piq.etaq import Cusp, pi_order_at_cusp
+        from piq.ident import Hints
+
+        assert pi_order_at_cusp(PiMonomial.make({1: -2, 2: 3}), Cusp(1, 2), 4) == F(-1, 2)
+        rec = parse_identity(
+            "sodd() = pi(2)^2", id="sodd-pole", hints=Hints(clear="pi(1)^-2*pi(2)^3")
+        )
+        assert prove(rec).verdict == "PROVEN"
+        monkeypatch.setattr(verify_module, "net_clearing_monomial", lambda *a, **k: PiMonomial.one())
+        rep = prove(rec)
+        assert rep.verdict == "UNCERTIFIED"
+        assert "order -1/2 at cusp 1/2" in rep.detail
 
 
 class TestRootBranchRefutation:
