@@ -164,7 +164,7 @@ def _inherited_span(
 ) -> _RationalSpan:
     """Span of (lower-degree relation) x (complementary monomial) products."""
     span = _RationalSpan(len(class_monomials))
-    position = {m.exponents: i for i, m in enumerate(class_monomials)}
+    position = {m: i for i, m in enumerate(class_monomials)}
     for rel in relations:
         d_rest = degree - rel.degree
         if d_rest < 1:
@@ -176,7 +176,7 @@ def _inherited_span(
             vec = [Fraction(0)] * len(class_monomials)
             for mono, c in zip(rel.monomials, rel.coefficients):
                 if c:
-                    vec[position[(mono * mu).exponents]] = Fraction(c)
+                    vec[position[mono * mu]] = Fraction(c)
             span.add(vec)
     return span
 

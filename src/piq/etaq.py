@@ -198,11 +198,16 @@ class EtaQuotient:
         return v.denominator, nums, v + window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PiMonomial:
-    """Exponent vector n -> k with k a nonzero half-integer."""
+    """Exponent vector n -> k with k a nonzero half-integer.
 
-    exponents: tuple[tuple[int, Fraction], ...]
+    Stored as sorted (n, 2k) integer pairs, so products, substitutions,
+    equality and hashing work on integers; ``exponents`` is the (n, k)
+    Fraction view that certificates and the DSL print.
+    """
+
+    halves: tuple[tuple[int, int], ...]
 
     @classmethod
     def make(cls, exponents: Mapping[int, object]) -> "PiMonomial":
@@ -215,45 +220,56 @@ class PiMonomial:
                 raise ValueError("Pi index must be a positive integer")
             if (2 * k).denominator != 1:
                 raise ValueError(f"Pi exponent {k} is not a half-integer")
-            clean[int(n)] = k
+            clean[int(n)] = int(2 * k)
         return cls(tuple(sorted(clean.items())))
 
     @classmethod
     def one(cls) -> "PiMonomial":
         return cls(())
 
-    def exponent_map(self) -> dict[int, Fraction]:
-        return dict(self.exponents)
+    @property
+    def exponents(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((n, Fraction(h, 2)) for n, h in self.halves)
+
+    def __repr__(self) -> str:
+        return f"PiMonomial(exponents={self.exponents!r})"
 
     @property
     def weight(self) -> Fraction:
-        return sum((k for _, k in self.exponents), Fraction(0))
+        return Fraction(sum(h for _, h in self.halves), 2)
 
     @property
     def exponent_weighted_sum(self) -> Fraction:
         """Sum k_i * n_i, the q^(1/4)-prefactor bookkeeping quantity."""
-        return sum((k * n for n, k in self.exponents), Fraction(0))
+        return Fraction(sum(n * h for n, h in self.halves), 2)
 
     @property
     def valuation(self) -> Fraction:
         """Leading q-exponent: sum k_i n_i / 4."""
-        return self.exponent_weighted_sum / 4
+        return Fraction(sum(n * h for n, h in self.halves), 8)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.exponents)
+        return tuple(n for n, _ in self.halves)
 
     def __mul__(self, other: "PiMonomial") -> "PiMonomial":
-        acc = self.exponent_map()
-        for n, k in other.exponents:
-            acc[n] = acc.get(n, Fraction(0)) + k
-        return PiMonomial.make(acc)
+        # Sums of half-integers are half-integers: nothing to re-validate.
+        if not other.halves:
+            return self
+        if not self.halves:
+            return other
+        acc = dict(self.halves)
+        for n, h in other.halves:
+            acc[n] = acc.get(n, 0) + h
+        return PiMonomial(tuple(sorted(item for item in acc.items() if item[1])))
 
     def __pow__(self, e) -> "PiMonomial":
         e = _frac(e)
-        return PiMonomial.make({n: k * e for n, k in self.exponents})
+        return PiMonomial.make({n: Fraction(h, 2) * e for n, h in self.halves})
 
     def subst(self, j: int) -> "PiMonomial":
-        return PiMonomial.make({n * j: k for n, k in self.exponents})
+        if j < 1 and self.halves:
+            raise ValueError("Pi index must be a positive integer")
+        return PiMonomial(tuple((n * j, h) for n, h in self.halves))
 
     def expand(self, terms: int) -> ScaledSeries:
         """q-expansion through the eta quotient at level 2*lcm(indices).
@@ -268,7 +284,7 @@ class PiMonomial:
 
         Numerators come in increasing order, as from ``EtaQuotient.numerators``.
         """
-        if not self.exponents:
+        if not self.halves:
             return 1, {0: 1}, INF
         return pi_to_eta(self, 2 * math.lcm(*self.indices())).numerators(terms)
 
@@ -312,13 +328,11 @@ class ModularityFacts:
 def pi_to_eta(p: PiMonomial, level: int) -> EtaQuotient:
     """Eta-quotient form of a Pi-monomial: r_{2n} += 4k, r_n -= 2k per index."""
     acc: dict[int, int] = {}
-    for n, k in p.exponents:
+    for n, h in p.halves:
         if level % (2 * n) != 0:
             raise LevelMismatch(f"2*{n} does not divide level {level}")
-        twice, rem = divmod(2 * k.numerator, k.denominator)
-        assert not rem, "half-integer Pi exponents give integral eta exponents"
-        acc[2 * n] = acc.get(2 * n, 0) + 2 * twice
-        acc[n] = acc.get(n, 0) - twice
+        acc[2 * n] = acc.get(2 * n, 0) + 2 * h
+        acc[n] = acc.get(n, 0) - h
     return EtaQuotient.make(level, acc)
 
 
@@ -434,10 +448,9 @@ def pi_order_at_cusp(p: PiMonomial, c: Cusp, level: int) -> Fraction:
     """
     N, s = level, c.s
     total = 0
-    for n, k in p.exponents:
+    for n, h in p.halves:
         m, rem = divmod(N, n)
         if rem:
             raise LevelMismatch(f"Pi index {n} does not divide level {N}")
-        twice = 2 * k.numerator // k.denominator
-        total += twice * m * (math.gcd(s, 2 * n) ** 2 - math.gcd(s, n) ** 2)
+        total += h * m * (math.gcd(s, 2 * n) ** 2 - math.gcd(s, n) ** 2)
     return Fraction(total, 24 * s * math.gcd(s, N // s))

@@ -460,7 +460,8 @@ def _pi_factor(expr: Expr) -> Optional[tuple[Fraction, PiMonomial]]:
         if isinstance(expr, Subst):
             return coef, mono.subst(expr.j)
         e = expr.e if isinstance(expr, Pow) else Fraction(1, 2)
-        if coef == 0 or any((2 * k * e).denominator != 1 for _, k in mono.exponents):
+        # (2k) * e stays an integer iff e's denominator divides 2k.
+        if coef == 0 or any(h % e.denominator for _, h in mono.halves):
             return None
         root = _rational_nth_root(coef, e.denominator)
         if root is None:
@@ -582,6 +583,8 @@ def _key(atom):
 
 
 def _term_identity(t: Term):
+    if not (t.lamberts or t.sqrts):
+        return (t.pi.halves, (), (), ())
     keys = tuple(a.key() for a in t.lamberts)
     # Reduced terms compare their E2 factors before their E4 factors.  Atoms
     # are sorted and an E4 key starts with its weight 4, so the E4 factors
@@ -589,20 +592,27 @@ def _term_identity(t: Term):
     n = len(keys)
     while n and keys[n - 1][0] == 4:
         n -= 1
-    return (t.pi.exponents, keys[:n], keys[n:], tuple(a.key() for a in t.sqrts))
+    return (t.pi.halves, keys[:n], keys[n:], tuple(a.key() for a in t.sqrts))
 
 
 def ts_make(terms: Iterable[Term]) -> tuple:
     """Canonical term sum: merged like terms, zeros dropped, sorted."""
-    acc: dict = {}
+    first: dict = {}
+    merged: dict = {}
     for t in terms:
         k = _term_identity(t)
-        if k in acc:
-            acc[k] = Term(acc[k].coef + t.coef, t.pi, t.lamberts, t.sqrts)
+        if k in first:
+            merged[k] = merged.get(k, first[k].coef) + t.coef
         else:
-            acc[k] = t
-    out = [t for t in acc.values() if t.coef != 0]
-    out.sort(key=_term_identity)
+            first[k] = t
+    out = []
+    for k in sorted(first):
+        t = first[k]
+        if k in merged:
+            if merged[k]:
+                out.append(Term(merged[k], t.pi, t.lamberts, t.sqrts))
+        elif t.coef:
+            out.append(t)
     return tuple(out)
 
 
@@ -629,7 +639,7 @@ def _monomial_sqrt(t: Term) -> Optional[Term]:
     """sqrt of a radical-free, Lambert-free term with integral Pi exponents."""
     if t.lamberts or t.sqrts:
         return None
-    if any(k.denominator != 1 for _, k in t.pi.exponents):
+    if any(h % 2 for _, h in t.pi.halves):
         return None
     root = _rational_nth_root(t.coef, 2)
     if root is None:
@@ -814,9 +824,8 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
         mono = _single_pi_term(f)
         if mono is not None:
             root = _rational_nth_root(mono.coef, 2)
-            scaled = {n: k * e for n, k in mono.pi.exponents}
-            if root is not None and all((2 * k).denominator == 1 for k in scaled.values()):
-                return _Frac((Term(root ** e.numerator, PiMonomial.make(scaled)),), TS_ONE)
+            if root is not None and not any(h % 2 for _, h in mono.pi.halves):
+                return _Frac((Term(root ** e.numerator, mono.pi ** e),), TS_ONE)
         ipart = (e.numerator - 1) // 2  # e = ipart + 1/2 with odd numerator
         return _pow_frac(f, Fraction(ipart)) * _sqrt_frac(f)
     raise NotPolynomializable(f"unsupported fractional exponent {e}")
@@ -830,22 +839,22 @@ def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> 
     the cleared sum is the least monomial multiple of the input with
     nonnegative exponents.
     """
-    mins: dict[int, Fraction] = {}
+    mins: dict[int, int] = {}  # n -> least 2k
     first = True
     for t in terms:
-        exps = t.pi.exponent_map()
+        exps = dict(t.pi.halves)
         if first:
-            mins = dict(exps)
+            mins = exps
             first = False
         else:
             for n in list(mins):
-                mins[n] = min(mins[n], exps.get(n, Fraction(0)))
-            for n, k in exps.items():
+                mins[n] = min(mins[n], exps.get(n, 0))
+            for n, h in exps.items():
                 if n not in mins:
-                    mins[n] = min(k, Fraction(0))
+                    mins[n] = min(h, 0)
     if not cancel_common:
-        mins = {n: k for n, k in mins.items() if k < 0}
-    return PiMonomial.make({n: -k for n, k in mins.items() if k != 0})
+        mins = {n: h for n, h in mins.items() if h < 0}
+    return PiMonomial(tuple(sorted((n, -h) for n, h in mins.items() if h)))
 
 
 def build_sides(rec: IdentityRecord) -> tuple[tuple, tuple]:

@@ -476,7 +476,8 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
 
     # A record carrying an explicit clearing hint keeps its common factors.
     net_clear = net_clearing_monomial(lhs + rhs, cancel_common=not rec.hints.clear)
-    if net_clear.exponents:
+    clearing = net_clear if net_clear.halves else None
+    if clearing is not None:
         mult = (Term(Fraction(1), net_clear),)
         lhs, rhs = ts_mul(lhs, mult), ts_mul(rhs, mult)
 
@@ -496,7 +497,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         raise _Uncertifiable(f"substitution hint {m} does not clear residue {residue}")
     lhs, rhs, diff = ts_subst(lhs, m), ts_subst(rhs, m), ts_subst(diff, m)
 
-    indices = sorted({n for t in diff for n, _ in t.pi.exponents})
+    indices = sorted({n for t in diff for n in t.pi.indices()})
     level = 2 * math.lcm(*indices) if indices else 1
     for t in diff:
         for combo in t.lamberts:
@@ -538,7 +539,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
                 weight=k,
                 level=level,
                 subst_exponent=m,
-                clearing_multiplier=net_clear,
+                clearing_multiplier=clearing,
                 sturm_bound=bound,
                 coefficients_compared=e + 1,
                 detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
@@ -555,7 +556,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
                 weight=k,
                 level=level,
                 subst_exponent=m,
-                clearing_multiplier=net_clear,
+                clearing_multiplier=clearing,
                 sturm_bound=bound,
                 coefficients_compared=bound,
                 detail=f"squares agree but leading terms differ at q^{e}: {cl} vs {cr}",
@@ -567,7 +568,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         weight=k,
         level=level,
         subst_exponent=m,
-        clearing=net_clear if net_clear.exponents else None,
+        clearing=clearing,
         citations=tuple(sorted(set(citations))),
         terms=_term_facts(diff, cusp_list, level, orders),
     )
@@ -577,7 +578,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         weight=k,
         level=level,
         subst_exponent=m,
-        clearing_multiplier=net_clear if net_clear.exponents else None,
+        clearing_multiplier=clearing,
         sturm_bound=bound,
         coefficients_compared=bound,
         certificate=cert,

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from piq.errors import LevelMismatch, PreconditionViolated
 from piq.etaq import (
@@ -286,3 +287,109 @@ class TestCuspWidth:
     def test_widths_level8(self):
         widths = {c.label(8): cusp_width(8, c) for c in cusps(8)}
         assert widths == {"0": 8, "1/2": 2, "1/4": 1, "oo": 1}
+
+
+# ---------------------------------------------------------------------------
+# PiMonomial against a Fraction-dict reference model
+# ---------------------------------------------------------------------------
+#
+# The model is a dict n -> nonzero Fraction k, the representation PiMonomial
+# had before it stored integer (n, 2k) pairs.
+
+
+def _model(exps):
+    return {n: F(k) for n, k in exps.items() if k != 0}
+
+
+def _model_view(model):
+    return tuple(sorted(model.items()))
+
+
+def _model_mul(a, b):
+    out = dict(a)
+    for n, k in b.items():
+        out[n] = out.get(n, F(0)) + k
+    return _model(out)
+
+
+def _model_pi_to_eta(model):
+    acc = {}
+    for n, k in model.items():
+        acc[2 * n] = acc.get(2 * n, F(0)) + 4 * k
+        acc[n] = acc.get(n, F(0)) - 2 * k
+    return tuple(sorted((d, int(r)) for d, r in acc.items() if r != 0))
+
+
+def _model_order(model, c, level):
+    # Ligozat's formula on the model's eta exponents, in Fractions.
+    s, total = c.s, F(0)
+    for delta, r in _model_pi_to_eta(model):
+        total += F(math.gcd(s, delta) ** 2 * r, math.gcd(s, level // s) * s * delta)
+    return F(level, 24) * total
+
+
+def _exponent_maps(indices=st.integers(min_value=1, max_value=30)):
+    halves = st.integers(min_value=-9, max_value=9).map(lambda h: F(h, 2))
+    return st.dictionaries(indices, halves, max_size=5)
+
+
+_HALF_POWERS = st.sampled_from([F(e, 2) for e in range(-5, 6)] + [F(e, 3) for e in (-2, 1, 2)])
+
+
+class TestPiMonomialModel:
+    @given(_exponent_maps(), _exponent_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_make_mul_views_and_hash(self, a, b):
+        ma, mb = PiMonomial.make(a), PiMonomial.make(b)
+        model = _model(a)
+        assert ma.exponents == _model_view(model)
+        assert all(type(k) is F for _, k in ma.exponents)
+        assert repr(ma) == f"PiMonomial(exponents={_model_view(model)!r})"
+        assert ma.indices() == tuple(sorted(model))
+        assert ma.weight == sum(model.values(), F(0))
+        assert ma.exponent_weighted_sum == sum((n * k for n, k in model.items()), F(0))
+        assert ma.valuation == sum((n * k for n, k in model.items()), F(0)) / 4
+        assert all(type(x) is F for x in (ma.weight, ma.exponent_weighted_sum, ma.valuation))
+        assert (ma * mb).exponents == _model_view(_model_mul(model, _model(b)))
+        assert ma * mb == mb * ma
+        assert (ma == mb) == (model == _model(b))
+        again = PiMonomial.make(dict(reversed(list(a.items()))))
+        assert again == ma and hash(again) == hash(ma)
+        assert ma * PiMonomial.one() == ma == PiMonomial.one() * ma
+
+    @given(_exponent_maps(), _HALF_POWERS)
+    @settings(max_examples=150, deadline=None)
+    def test_pow_matches_model_or_raises(self, a, e):
+        model = {n: k * e for n, k in _model(a).items()}
+        if all((2 * k).denominator == 1 for k in model.values()):
+            assert (PiMonomial.make(a) ** e).exponents == _model_view(_model(model))
+        else:
+            with pytest.raises(ValueError, match="not a half-integer"):
+                PiMonomial.make(a) ** e
+
+    @given(_exponent_maps(), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_subst_and_inverse(self, a, j):
+        m = PiMonomial.make(a)
+        assert m.subst(j).exponents == _model_view({n * j: k for n, k in _model(a).items()})
+        inverse = m ** -1
+        assert m * inverse == PiMonomial.one()
+        assert hash(m * inverse) == hash(PiMonomial.one())
+
+    def test_make_rejects_bad_exponents_and_indices(self):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            PiMonomial.make({1: F(1, 3)})
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                PiMonomial.make({n: 1})
+        assert PiMonomial.make({0: 0}) == PiMonomial.one()
+
+    @given(_exponent_maps(st.sampled_from((1, 2, 3, 4, 6, 8, 12))), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_pi_to_eta_and_cusp_orders_match_model(self, a, mult):
+        model = _model(a)
+        m = PiMonomial.make(a)
+        level = 2 * math.lcm(*m.indices(), 1) * mult
+        assert pi_to_eta(m, level).exponents == _model_pi_to_eta(model)
+        for c in cusps(level):
+            assert pi_order_at_cusp(m, c, level) == _model_order(model, c, level)

@@ -29,13 +29,16 @@ from piq.ident import (
     parse_corpus,
     parse_expression,
     parse_identity,
+    SqrtAtom,
     Term,
+    _term_mul,
     to_dsl,
     ts_add,
     ts_make,
+    ts_mul,
     ts_neg,
 )
-from piq.quasimod import E2Combo, E4Combo, expand_lambert
+from piq.quasimod import E2Combo, E4Combo, LambertSpec, expand_lambert
 from piq.series import ScaledSeries, psi_expansion
 from piq.verify import _pi_series
 
@@ -365,3 +368,92 @@ def _reference_mixed(expr, terms):
             out = out * _reference_mixed(c, terms)
         return out
     return _reference_evaluate(expr, terms)
+
+
+# ---------------------------------------------------------------------------
+# term sums against the merge-then-sort canonicaliser
+# ---------------------------------------------------------------------------
+
+# Index sets of the lifted identities in perfbench/workloads.py (levels 8,
+# 12 and 16).
+_LIFT_INDEX_SETS = ((1, 2, 4), (1, 2, 3, 6), (1, 2, 4, 8))
+
+
+def _reference_identity(t):
+    """A term's identity over the Fraction exponent view, radicals included."""
+    keys = tuple(a.key() for a in t.lamberts)
+    n = len(keys)
+    while n and keys[n - 1][0] == 4:
+        n -= 1
+    radicals = tuple(
+        tuple(_reference_identity(u) + (u.coef,) for u in atom.inner) for atom in t.sqrts
+    )
+    return (t.pi.exponents, keys[:n], keys[n:], radicals)
+
+
+def _reference_ts_make(terms):
+    """Merge like terms into a new Term at every merge, drop zeros, then sort."""
+    acc = {}
+    for t in terms:
+        k = _reference_identity(t)
+        if k in acc:
+            acc[k] = Term(acc[k].coef + t.coef, t.pi, t.lamberts, t.sqrts)
+        else:
+            acc[k] = t
+    out = [t for t in acc.values() if t.coef != 0]
+    out.sort(key=_reference_identity)
+    return tuple(out)
+
+
+def _atom_choices(indices, reduced):
+    """(atoms, radicals) slots: none, one or two atoms, a radical, both."""
+    lo, hi = PiMonomial.make({indices[0]: 1}), PiMonomial.make({indices[-1]: 1})
+    root_a = SqrtAtom(ts_make([Term(F(1), lo), Term(F(3), hi)]))
+    root_b = SqrtAtom(ts_make([Term(F(1), lo * hi)]))
+    if reduced:
+        e2 = E2Combo.make({1: -1, 2: 2})
+        one, two = (e2,), (e2, E4Combo.make({1: 1, 2: -1}))
+    else:
+        one, two = (LambertSpec("LAM", 2, 1),), (LambertSpec("DL3", 1), LambertSpec("LAM", 2, 1))
+    return [((), ()), (one, ()), (two, ()), ((), (root_a,)), ((), (root_b,)), (one, (root_a,))]
+
+
+def _random_term_sum(rng, indices, atoms):
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        exps = {n: F(rng.randint(-2, 2), 2) for n in rng.sample(indices, rng.randint(0, 2))}
+        coef = F(rng.randint(-3, 3), rng.randint(1, 3))
+        out.append(Term(coef, PiMonomial.make(exps), *rng.choice(atoms)))
+    return out
+
+
+class TestTermSumCanonicalForm:
+    @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_ts_make_matches_reference(self, indices, reduced):
+        rng = random.Random(f"{indices}{reduced}")
+        atoms = _atom_choices(indices, reduced)
+        for _ in range(150):
+            terms = _random_term_sum(rng, indices, atoms)
+            want = _reference_ts_make(terms)
+            assert ts_make(terms) == want
+            shuffled = list(terms)
+            rng.shuffle(shuffled)
+            assert ts_make(shuffled) == want
+            if terms:
+                i = rng.randrange(len(terms))
+                t = terms[i]
+                part = F(rng.randint(-4, 4), rng.randint(1, 4))
+                halves = [Term(c, t.pi, t.lamberts, t.sqrts) for c in (part, t.coef - part)]
+                assert ts_make(terms[:i] + halves + terms[i + 1 :]) == want
+
+    @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_ts_mul_matches_reference(self, indices, reduced):
+        rng = random.Random(f"mul{indices}{reduced}")
+        atoms = _atom_choices(indices, reduced)
+        for _ in range(60):
+            a = ts_make(_random_term_sum(rng, indices, atoms))
+            b = ts_make(_random_term_sum(rng, indices, atoms))
+            products = [p for t1 in a for t2 in b for p in _term_mul(t1, t2)]
+            assert ts_mul(a, b) == _reference_ts_make(products) == ts_mul(b, a)

@@ -311,6 +311,25 @@ class TestClearingSearch:
         assert rep.verdict == "UNCERTIFIED"
         assert "order -1/2 at cusp 1/2" in rep.detail
 
+    def test_refuted_without_clearing_multiplier_reports_none(self):
+        # An L8-2 mutant: its cross-multiplied sides share no Pi factor.
+        rep = prove(parse_identity(
+            "9*pi(2)^2 + 16*pi(4)^2 + pi(2)^4/pi(4)^2 = pi(1)^4/pi(2)^2", id="L8-2-mut"
+        ))
+        assert rep.verdict == "REFUTED"
+        assert rep.sturm_bound is not None  # refuted by the prover, not the fallback
+        assert rep.clearing_multiplier is None
+
+    def test_refuted_with_clearing_multiplier_keeps_it(self):
+        # A La10-2 mutant: after the squaring round every term carries Pi[5]^8.
+        rep = prove(parse_identity(
+            "(lam(2,1) - 5*lam(10,5))/pi(5)^2"
+            " = sqrt(pi(1)^3/pi(5)^3 - 2*pi(1)^2/pi(5)^2 + 6*pi(1)/pi(5))",
+            id="La10-2-mut",
+        ))
+        assert rep.verdict == "REFUTED"
+        assert rep.clearing_multiplier == PiMonomial.make({5: -8})
+
 
 class TestRootBranchRefutation:
     def test_sign_flip_refutes(self):
