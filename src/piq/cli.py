@@ -167,13 +167,11 @@ def cmd_expand(args) -> int:
             series = evaluate_to_bound(expr, need)
             val = series.valuation()
             start = val if val is not None else Fraction(0)
-            nums = [e * series.scale for e, _ in series.items()]
+            nums = list(series.nums)
             if len(nums) >= 2 or series.bound == math.inf or series.bound >= start + reach:
                 break
             need = 2 * series.bound
-        stride = 0
-        for n in nums[1:]:
-            stride = math.gcd(stride, int(n - nums[0]))
+        stride = math.gcd(*(n - nums[0] for n in nums[1:]))
         step = Fraction(stride, series.scale) if stride else Fraction(1)
         series = evaluate_to_bound(expr, start + step * terms)
     except PiqError as exc:

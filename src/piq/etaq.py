@@ -150,7 +150,7 @@ class EtaQuotient:
 
     def expand(self, terms: int) -> ScaledSeries:
         """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms))."""
-        return ScaledSeries._from_numerators(*self.numerators(terms))
+        return ScaledSeries(*self.numerators(terms))
 
     def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
         """The expansion as (scale, {numerator: integer coefficient}, bound).
@@ -277,7 +277,7 @@ class PiMonomial:
         One integer recurrence covers the whole product, so the result is
         known modulo O(q^(valuation + min(indices)*terms)).
         """
-        return ScaledSeries._from_numerators(*self.numerators(terms))
+        return ScaledSeries(*self.numerators(terms))
 
     def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
         """The expansion of :meth:`expand` as (scale, {numerator: int}, bound).

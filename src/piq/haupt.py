@@ -255,7 +255,7 @@ def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptF
         h_pows = [expand(i, min_bound) for i in range(max(deg_p, deg_q) + 1)]
         t_series = expand(None, min_bound)
         columns = [t_series * h_pows[j] for j in range(deg_q + 1)]
-        columns += [h_pows[i] * Fraction(-1) for i in range(deg_p + 1)]
+        columns += [-h_pows[i] for i in range(deg_p + 1)]
         kernel = kernel_basis(series_window_matrix(columns, rows))
         if not kernel:
             return None
@@ -263,22 +263,22 @@ def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptF
             rows *= 2
             continue
         vec = kernel[0]
-        q_coeffs = list(vec[: deg_q + 1])
-        p_coeffs = list(vec[deg_q + 1 :])
-        while q_coeffs and q_coeffs[-1] == 0:
-            q_coeffs.pop()
-        while p_coeffs and p_coeffs[-1] == 0:
-            p_coeffs.pop()
-        if not q_coeffs or not p_coeffs:
+        q_poly = list(vec[: deg_q + 1])
+        p_poly = list(vec[deg_q + 1 :])
+        while q_poly and q_poly[-1] == 0:
+            q_poly.pop()
+        while p_poly and p_poly[-1] == 0:
+            p_poly.pop()
+        if not q_poly or not p_poly:
             return None
-        if q_coeffs[-1] < 0:
-            q_coeffs = [-c for c in q_coeffs]
-            p_coeffs = [-c for c in p_coeffs]
+        if q_poly[-1] < 0:
+            q_poly = [-c for c in q_poly]
+            p_poly = [-c for c in p_poly]
         rec = IdentityRecord(
             id=f"hauptfit-N{level}",
             source="haupt",
-            lhs=Mul((target, _poly_expr(q_coeffs, h))),
-            rhs=_poly_expr(p_coeffs, h),
+            lhs=Mul((target, _poly_expr(q_poly, h))),
+            rhs=_poly_expr(p_poly, h),
         )
         report = prove(rec, config)
         if report.verdict != "PROVEN":
@@ -287,8 +287,8 @@ def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptF
             level=level,
             target=to_dsl(target),
             hauptmodul=to_dsl(h),
-            numerator=tuple(p_coeffs),
-            denominator=tuple(q_coeffs),
+            numerator=tuple(p_poly),
+            denominator=tuple(q_poly),
             certificate=report,
         )
     return None

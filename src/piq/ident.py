@@ -386,17 +386,24 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
         raise ParseError(f"missing corpus header {CORPUS_HEADER!r}", 1, 1, [CORPUS_HEADER])
     records = []
     fields: dict[str, str] = {}
-    start_line = 2
+    spots: dict[str, tuple[int, int]] = {}  # field -> (line, column) of its value
 
     def flush(at_line: int):
-        nonlocal fields
+        nonlocal fields, spots
         if not fields:
             return
         missing = [k for k in ("id", "dsl") if k not in fields]
         if missing:
             raise ParseError(f"record missing field(s) {missing}", at_line, 1)
+        subst = fields.get("hint.subst")
+        if subst is not None and not (subst.isascii() and subst.isdigit() and int(subst) >= 1):
+            raise ParseError(
+                f"hint.subst must be an integer >= 1, not {subst!r}",
+                *spots["hint.subst"],
+                ["integer >= 1"],
+            )
         hints = Hints(
-            subst=int(fields["hint.subst"]) if "hint.subst" in fields else None,
+            subst=int(subst) if subst is not None else None,
             clear=fields.get("hint.clear"),
             mode=fields.get("hint.mode"),
         )
@@ -409,7 +416,7 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
                 f"in record {fields['id']!r}: {exc}", at_line, exc.column, exc.expected
             ) from exc
         records.append(rec)
-        fields = {}
+        fields, spots = {}, {}
 
     for i, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip()
@@ -422,6 +429,7 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
             raise ParseError("expected 'field: value'", i, 1, ["id:", "source:", "dsl:"])
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
+        spots[key.strip()] = (i, len(line) - len(value.lstrip()) + 1)
     flush(len(lines) + 1)
     seen = set()
     for rec in records:
@@ -494,10 +502,7 @@ def evaluate(expr: Expr, terms: int) -> ScaledSeries:
     if isinstance(expr, Neg):
         return -evaluate(expr.child, terms)
     if isinstance(expr, Add):
-        out = ScaledSeries.zero()
-        for c in expr.children:
-            out = out + evaluate(c, terms)
-        return out
+        return ScaledSeries.linear_sum((1, evaluate(c, terms)) for c in expr.children)
     if isinstance(expr, Mul):
         out = ScaledSeries.one()
         for c in expr.children:

@@ -13,15 +13,19 @@ from .series import ScaledSeries, _frac
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense row-major matrix with exact rational entries."""
+    """Dense row-major matrix of a rational matrix's rows, each scaled to integers.
+
+    Scaling a row leaves the right null space alone, so the integer entries
+    are all that ``kernel_basis`` needs.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int, ...]
 
     @classmethod
     def make(cls, data: Sequence[Sequence[object]], cols: int | None = None) -> "RationalMatrix":
-        data = [list(row) for row in data]
+        data = [[_frac(x) for x in row] for row in data]
         rows = len(data)
         if rows:
             cols = len(data[0])
@@ -29,48 +33,42 @@ class RationalMatrix:
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("column count required for an empty matrix")
-        flat = tuple(_frac(x) for row in data for x in row)
-        return cls(rows, cols, flat)
+        flat = []
+        for row in data:
+            den = math.lcm(*(x.denominator for x in row))
+            flat.extend(x.numerator * (den // x.denominator) for x in row)
+        return cls(rows, cols, tuple(flat))
 
-    def at(self, i: int, j: int) -> Fraction:
+    def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list[int]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
 
-def _normalize_vector(v: list[Fraction]) -> tuple[int, ...]:
-    """Scale to coprime integer entries with positive leading entry."""
-    den = math.lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
+def _normalize_vector(v: list[int]) -> tuple[int, ...]:
+    """Divide out the gcd of the entries and make the leading entry positive."""
+    g = math.gcd(*v)
+    for x in v:
         if x != 0:
             if x < 0:
-                ints = [-y for y in ints]
+                g = -g
             break
-    return tuple(ints)
+    return tuple(x // g for x in v)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space by fraction-free (Bareiss) elimination.
 
-    Each basis vector is scaled to coprime integers with positive leading
-    entry, so the output is deterministic and exact.
+    Back substitution stays in the integers by scaling the partial vector
+    whenever a pivot does not divide; each basis vector is then reduced to
+    coprime integers with positive leading entry, so the output is
+    deterministic and exact.
     """
     rows, cols = m.rows, m.cols
     if cols == 0:
         return []
-    # Clear denominators row by row; row scaling leaves the null space alone.
-    a: list[list[int]] = []
-    for i in range(rows):
-        r = m.row(i)
-        den = math.lcm(*(x.denominator for x in r)) if r else 1
-        a.append([int(x * den) for x in r])
+    a = [m.row(i) for i in range(rows)]
     pivot_cols: list[int] = []
     prev = 1
     r = 0
@@ -96,15 +94,20 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [0] * cols
+        v[f] = 1
         for i in range(len(pivot_cols) - 1, -1, -1):
             pc = pivot_cols[i]
-            s = Fraction(0)
+            s = 0
             for j in range(pc + 1, cols):
                 if a[i][j] and v[j]:
                     s += a[i][j] * v[j]
-            v[pc] = -s / a[i][pc]
+            p = a[i][pc]
+            grow = abs(p) // math.gcd(s, p)
+            if grow != 1:
+                v = [x * grow for x in v]
+                s *= grow
+            v[pc] = -s // p
         basis.append(_normalize_vector(v))
     return basis
 
@@ -116,11 +119,14 @@ def series_window_matrix(columns: Sequence[ScaledSeries], rows: int) -> Rational
     the common exponent lattice; a coefficient beyond some column's tracked
     bound raises InsufficientPrecision.  Entries are read by lattice index:
     row i is numerator base + i on the common scale, which a column of scale
-    s stores at index (base + i) / (scale / s) - offset when that is integral.
+    s stores under numerator (base + i) / (scale / s).  Every entry is the
+    coefficient times L, the lcm of the column denominators, so the entries
+    are integers.
     """
     if not columns:
         raise ValueError("no columns")
     scale = math.lcm(*(c.scale for c in columns))
+    den = math.lcm(*(c.den for c in columns))
     vals = [c.valuation() for c in columns]
     known = [v for v in vals if v is not None]
     # A valuation sits on its column's lattice, so base * scale is integral.
@@ -131,12 +137,13 @@ def series_window_matrix(columns: Sequence[ScaledSeries], rows: int) -> Rational
             f"coefficient of q^{last} requested but a column is only known modulo O(q^{bound})"
         )
     ncols = len(columns)
-    entries = [Fraction(0)] * (rows * ncols)
+    entries = [0] * (rows * ncols)
     for j, col in enumerate(columns):
         step = scale // col.scale
-        for k, c in enumerate(col.coeffs):
-            i = (col.offset + k) * step - base
+        mult = den // col.den
+        for n, x in col.nums.items():
+            i = n * step - base
             if i >= rows:
                 break
-            entries[i * ncols + j] = c
+            entries[i * ncols + j] = x * mult
     return RationalMatrix(rows, ncols, tuple(entries))

@@ -87,14 +87,14 @@ def expand_lambert(spec: LambertSpec, terms: int) -> ScaledSeries:
     """Exact q-expansion of a Lambert atom, known modulo O(q^terms)."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     if spec.kind == "LAM":
         n = 1
         while spec.a * n - spec.b < terms:
             j = spec.a * n - spec.b
             k = 1
             while k * j < terms:
-                acc[k * j] = acc.get(k * j, Fraction(0)) + k
+                acc[k * j] = acc.get(k * j, 0) + k
                 k += 1
             n += 1
     elif spec.kind == "LAM4":
@@ -103,33 +103,33 @@ def expand_lambert(spec: LambertSpec, terms: int) -> ScaledSeries:
             j = spec.a * n - spec.b
             k = 2
             while k * j < terms:
-                acc[k * j] = acc.get(k * j, Fraction(0)) + Fraction(k**3 - k, 6)
+                acc[k * j] = acc.get(k * j, 0) + (k**3 - k) // 6
                 k += 1
             n += 1
     elif spec.kind == "DL3":
         n = 1
         while spec.a * n < terms:
             coeff = sigma(3, n) - (sigma(3, n // 2) if n % 2 == 0 else 0)
-            acc[spec.a * n] = Fraction(coeff)
+            acc[spec.a * n] = coeff
             n += 1
     elif spec.kind == "SODD":
         m = 1
         while spec.a * m < terms:
-            acc[spec.a * m] = Fraction(sigma(1, m))
+            acc[spec.a * m] = sigma(1, m)
             m += 2
     elif spec.kind == "E2":
-        acc[0] = Fraction(1)
+        acc[0] = 1
         n = 1
         while spec.a * n < terms:
-            acc[spec.a * n] = Fraction(-24 * sigma(1, n))
+            acc[spec.a * n] = -24 * sigma(1, n)
             n += 1
     elif spec.kind == "E4":
-        acc[0] = Fraction(1)
+        acc[0] = 1
         n = 1
         while spec.a * n < terms:
-            acc[spec.a * n] = Fraction(240 * sigma(3, n))
+            acc[spec.a * n] = 240 * sigma(3, n)
             n += 1
-    return ScaledSeries.from_terms(acc, terms)
+    return ScaledSeries(1, acc, terms)
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,32 @@
 """Exact truncated power series in fractional powers of q.
 
-The coefficient field is the rationals (``fractions.Fraction``).  A series
-lives on an exponent lattice (1/D)*Z and records the coefficients it actually
-knows together with an exact precision bound::
+A series lives on an exponent lattice (1/D)*Z and stores its nonzero
+coefficients as integer numerators over one common denominator, together
+with an exact precision bound::
 
-    sum_i c_i * q^((v+i)/D)  +  O(q^bound)
+    sum_n (nums[n] / den) * q^(n/D)  +  O(q^bound)
 
-Every coefficient at an exponent strictly below the bound is known: stored
-when it sits on the lattice inside the tracked window, zero otherwise.
-Operations never fabricate knowledge; the bound of a result is the largest
-one the operands justify, and asking for a coefficient at or beyond the
-bound raises :class:`InsufficientPrecision`.  A bound of ``math.inf`` marks
-an exact polynomial (constants, monomials, products of such).
+``nums`` is a sparse ``{lattice numerator: nonzero int}`` map in increasing
+key order, the form the eta-quotient kernel produces, so an expansion that
+is mostly zeros costs only its nonzero coefficients.  Every coefficient at
+an exponent strictly below the bound is known: stored when nonzero, zero
+otherwise.  Operations never fabricate knowledge; the bound of a result is
+the largest one the operands justify, and asking for a coefficient at or
+beyond the bound raises :class:`InsufficientPrecision`.  A bound of
+``math.inf`` marks an exact polynomial (constants, monomials, products of
+such).
 
-Scales are reduced after every operation (the stored scale divides out the
-gcd of all exponent numerators actually present), so equality testing is
-representation independent.
+The constructor divides D by the gcd of the numerators present and the
+denominator by the gcd of the stored integers, so equality testing is
+representation independent.  Sums of many series share one integer
+accumulator (:meth:`ScaledSeries.linear_sum`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import InsufficientPrecision, NonRootLeadingCoefficient, NotInvertible
@@ -72,58 +77,44 @@ def _top_numerator(bound, scale: int):
     """Largest n with n/scale below the bound, or None for an exact series."""
     if bound == INF:
         return None
-    blim = bound * scale
-    return (blim.numerator - 1) // blim.denominator
+    return (bound.numerator * scale - 1) // bound.denominator
 
 
 class ScaledSeries:
-    """Immutable truncated series in q^(1/D) with exact rational coefficients."""
+    """Immutable truncated series in q^(1/D): integer numerators over one denominator."""
 
-    __slots__ = ("_scale", "_offset", "_coeffs", "_bound")
+    __slots__ = ("_scale", "_nums", "_den", "_bound")
 
-    def __init__(self, scale, offset, coeffs, bound):
-        """Build from raw window data; prefer the named constructors."""
-        scale = int(scale)
-        if scale < 1:
-            raise ValueError("scale must be a positive integer")
+    def __init__(self, scale, nums: Mapping[int, int], bound, den=1):
+        """The coefficient of q^(n/scale) is nums[n] / den, known below the bound.
+
+        Zero entries and entries at or beyond the bound are dropped (they are
+        not knowledge), and scale and den are reduced to canonical form.
+        """
+        scale, den = int(scale), int(den)
+        if scale < 1 or den < 1:
+            raise ValueError("scale and den must be positive integers")
         bound = bound if bound == INF else _frac(bound)
-        if bound != INF:
-            # Drop any slot at or beyond the bound: it is not knowledge.
-            cut = _top_numerator(bound, scale) - offset + 1
-            if cut < len(coeffs):
-                coeffs = coeffs[: max(cut, 0)]
-        coeffs = [_frac(c) for c in coeffs]
-        # Trim zero margins; the bound keeps the precision information.
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        coeffs = coeffs[lo:hi]
-        offset += lo
-        if not coeffs:
-            self._scale, self._offset = 1, 0
-            self._coeffs = ()
-            self._bound = bound
-            return
-        g = scale
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                g = math.gcd(g, offset + i)
-        if g > 1:
-            new = {}
-            for i, c in enumerate(coeffs):
-                if c != 0:
-                    new[(offset + i) // g] = c
-            base = offset // g
-            top = max(new)
-            coeffs = [new.get(n, Fraction(0)) for n in range(base, top + 1)]
-            scale //= g
-            offset = base
+        top = _top_numerator(bound, scale)
+        # The kernel's output is usually clean and sorted already: test in C first.
+        if 0 in nums.values() or (top is not None and nums and max(nums) > top):
+            nums = {n: x for n, x in nums.items() if x and (top is None or n <= top)}
+        keys = sorted(nums)
+        nums = {n: nums[n] for n in keys} if keys != list(nums) else dict(nums)
+        if not nums:
+            scale = den = 1
+        else:
+            g = math.gcd(scale, *nums) if scale > 1 else 1
+            if g > 1:
+                nums = {n // g: x for n, x in nums.items()}
+                scale //= g
+            g = math.gcd(den, *nums.values()) if den > 1 else 1
+            if g > 1:
+                nums = {n: x // g for n, x in nums.items()}
+                den //= g
         self._scale = scale
-        self._offset = offset
-        self._coeffs = tuple(coeffs)
+        self._nums = nums
+        self._den = den
         self._bound = bound
 
     # ------------------------------------------------------------------
@@ -133,21 +124,19 @@ class ScaledSeries:
     @classmethod
     def from_terms(cls, terms: Mapping[Exponent, object], bound) -> "ScaledSeries":
         """Series with the given exponent -> coefficient map and bound."""
-        bound = bound if bound == INF else _frac(bound)
-        clean = {}
+        clean: dict[Fraction, Fraction] = {}
         for e, c in terms.items():
             e = _frac(e)
-            c = _frac(c)
-            if c == 0 or (bound != INF and e >= bound):
-                continue
-            clean[e] = clean.get(e, Fraction(0)) + c
+            clean[e] = clean.get(e, 0) + _frac(c)
         if not clean:
-            return cls(1, 0, (), bound)
+            return cls(1, {}, bound)
         scale = math.lcm(*(e.denominator for e in clean))
-        nums = {int(e * scale): c for e, c in clean.items()}
-        lo, hi = min(nums), max(nums)
-        coeffs = [nums.get(n, Fraction(0)) for n in range(lo, hi + 1)]
-        return cls(scale, lo, coeffs, bound)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        nums = {
+            e.numerator * (scale // e.denominator): c.numerator * (den // c.denominator)
+            for e, c in clean.items()
+        }
+        return cls(scale, nums, bound, den)
 
     @classmethod
     def constant(cls, c) -> "ScaledSeries":
@@ -159,11 +148,44 @@ class ScaledSeries:
 
     @classmethod
     def zero(cls, bound=INF) -> "ScaledSeries":
-        return cls(1, 0, (), bound)
+        return cls(1, {}, bound)
 
     @classmethod
     def one(cls) -> "ScaledSeries":
         return cls.constant(1)
+
+    @staticmethod
+    def linear_sum(pairs) -> "ScaledSeries":
+        """The sum of coef * series over (rational coef, series) pairs.
+
+        Every part is added onto one integer accumulator on the lcm of the
+        parts' lattices, over the lcm of their denominators, and cut at the
+        smallest bound seen so far.  The pairs are consumed one at a time,
+        so a generator of parts is never held in memory all at once.
+        """
+        scale, den, bound, acc = 1, 1, INF, {}
+        for coef, s in pairs:
+            if not coef:
+                continue
+            if scale % s._scale:
+                grow = s._scale // math.gcd(scale, s._scale)
+                acc = {n * grow: x for n, x in acc.items()}
+                scale *= grow
+            part_den = coef.denominator * s._den
+            if den % part_den:
+                grow = part_den // math.gcd(den, part_den)
+                acc = {n: x * grow for n, x in acc.items()}
+                den *= grow
+            bound = min(bound, s._bound)
+            top = _top_numerator(bound, scale)
+            step = scale // s._scale
+            mult = coef.numerator * (den // part_den)
+            for n, x in s._nums.items():
+                n *= step
+                if top is not None and n > top:
+                    break  # numerators come in increasing order
+                acc[n] = acc.get(n, 0) + mult * x
+        return ScaledSeries(scale, acc, bound, den)
 
     # ------------------------------------------------------------------
     # inspection
@@ -174,12 +196,14 @@ class ScaledSeries:
         return self._scale
 
     @property
-    def offset(self) -> int:
-        return self._offset
+    def nums(self) -> Mapping[int, int]:
+        """Nonzero integer numerators keyed by lattice numerator, in increasing order."""
+        return MappingProxyType(self._nums)
 
     @property
-    def coeffs(self):
-        return self._coeffs
+    def den(self) -> int:
+        """The common denominator of every stored coefficient."""
+        return self._den
 
     @property
     def bound(self):
@@ -188,9 +212,8 @@ class ScaledSeries:
 
     def items(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                yield Fraction(self._offset + i, self._scale), c
+        for n, x in self._nums.items():
+            yield Fraction(n, self._scale), Fraction(x, self._den)
 
     def coefficient(self, exponent: Exponent) -> Fraction:
         """Exact coefficient at the exponent; raises beyond the tracked bound."""
@@ -202,20 +225,17 @@ class ScaledSeries:
         n = e * self._scale
         if n.denominator != 1:
             return Fraction(0)
-        i = int(n) - self._offset
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
+        return Fraction(self._nums.get(n.numerator, 0), self._den)
 
     def valuation(self):
         """Smallest exponent with nonzero known coefficient, or None if none tracked."""
-        for e, _ in self.items():
-            return e
+        for n in self._nums:
+            return Fraction(n, self._scale)
         return None
 
     def leading_coefficient(self):
-        for _, c in self.items():
-            return c
+        for x in self._nums.values():
+            return Fraction(x, self._den)
         return None
 
     def is_zero(self, upto: Exponent | None = None) -> bool:
@@ -226,8 +246,9 @@ class ScaledSeries:
                 raise InsufficientPrecision(
                     f"zero test up to q^{upto} exceeds tracked bound O(q^{self._bound})"
                 )
-            return all(e >= upto for e, _ in self.items())
-        return not self._coeffs
+            v = self.valuation()
+            return v is None or v >= upto
+        return not self._nums
 
     def agrees_with(self, other: "ScaledSeries", upto: Exponent | None = None) -> bool:
         """Coefficientwise equality over the shared tracked range."""
@@ -239,16 +260,16 @@ class ScaledSeries:
         return (
             self._bound == other._bound
             and self._scale == other._scale
-            and self._offset == other._offset
-            and self._coeffs == other._coeffs
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self._scale, self._offset, self._coeffs, self._bound))
+        return hash((self._scale, self._den, tuple(self._nums.items()), self._bound))
 
     def __repr__(self):
         parts = [f"{c}*q^({e})" for e, c in list(self.items())[:8]]
-        if len(self._coeffs) > 8:
+        if len(self._nums) > 8:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         tail = "" if self._bound == INF else f" + O(q^{self._bound})"
@@ -259,21 +280,16 @@ class ScaledSeries:
     # ------------------------------------------------------------------
 
     def __neg__(self):
-        return ScaledSeries(self._scale, self._offset, [-c for c in self._coeffs], self._bound)
+        return ScaledSeries(
+            self._scale, {n: -x for n, x in self._nums.items()}, self._bound, self._den
+        )
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ScaledSeries.constant(other)
         if not isinstance(other, ScaledSeries):
             return NotImplemented
-        bound = min(self._bound, other._bound)
-        scale = math.lcm(self._scale, other._scale)
-        n_max = _top_numerator(bound, scale)
-        acc: dict[int, Fraction] = {}
-        for n, c in self._num_items(scale) + other._num_items(scale):
-            if n_max is None or n <= n_max:
-                acc[n] = acc[n] + c if n in acc else c
-        return ScaledSeries._from_numerators(scale, acc, bound)
+        return ScaledSeries.linear_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -282,43 +298,27 @@ class ScaledSeries:
             other = ScaledSeries.constant(other)
         if not isinstance(other, ScaledSeries):
             return NotImplemented
-        return self + (-other)
+        return ScaledSeries.linear_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _num_items(self, scale: int) -> list[tuple[int, object]]:
-        """Nonzero (numerator, coeff) pairs on the lattice of the given scale."""
-        step = scale // self._scale
-        return [
-            ((self._offset + i) * step, c)
-            for i, c in enumerate(self._coeffs)
-            if c != 0
-        ]
-
-    @staticmethod
-    def _from_numerators(scale: int, acc: dict, bound) -> "ScaledSeries":
-        if not acc:
-            return ScaledSeries(1, 0, (), bound)
-        lo, hi = min(acc), max(acc)
-        coeffs = [Fraction(0)] * (hi - lo + 1)
-        for n, c in acc.items():
-            coeffs[n - lo] = _frac(c)
-        return ScaledSeries(scale, lo, coeffs, bound)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
+            if other == 0:
                 return ScaledSeries.zero()
             return ScaledSeries(
-                self._scale, self._offset, [c * x for x in self._coeffs], self._bound
+                self._scale,
+                {n: x * other.numerator for n, x in self._nums.items()},
+                self._bound,
+                self._den * other.denominator,
             )
         if not isinstance(other, ScaledSeries):
             return NotImplemented
         scale = math.lcm(self._scale, other._scale)
-        a_items = self._num_items(scale)
-        b_items = other._num_items(scale)
+        sa, sb = scale // self._scale, scale // other._scale
+        a_items = [(n * sa, x) for n, x in self._nums.items()]
+        b_items = [(n * sb, x) for n, x in other._nums.items()]
         # Effective valuation: smallest known exponent, falling back to the
         # bound when nothing nonzero is tracked (the series is O(q^bound)).
         va = Fraction(a_items[0][0], scale) if a_items else self._bound
@@ -327,17 +327,9 @@ class ScaledSeries:
         if not a_items or not b_items:
             return ScaledSeries.zero(bound)
         n_max = _top_numerator(bound, scale)
-        # Integer fast path: exact coefficients are usually plain integers.
-        if all(c.denominator == 1 for _, c in a_items) and all(
-            c.denominator == 1 for _, c in b_items
-        ):
-            a_fast = [(n, c.numerator) for n, c in a_items]
-            b_fast = [(n, c.numerator) for n, c in b_items]
-        else:
-            a_fast, b_fast = a_items, b_items
-        acc: dict[int, object] = {}
-        for na, ca in a_fast:
-            for nb, cb in b_fast:
+        acc: dict[int, int] = {}
+        for na, ca in a_items:
+            for nb, cb in b_items:
                 n = na + nb
                 if n_max is not None and n > n_max:
                     break  # b items sorted; later numerators only grow
@@ -345,7 +337,7 @@ class ScaledSeries:
                     acc[n] += ca * cb
                 else:
                     acc[n] = ca * cb
-        return ScaledSeries._from_numerators(scale, acc, bound)
+        return ScaledSeries(scale, acc, bound, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -355,7 +347,9 @@ class ScaledSeries:
         if j < 1:
             raise ValueError("substitution exponent must be >= 1")
         bound = INF if self._bound == INF else self._bound * j
-        return ScaledSeries.from_terms({e * j: c for e, c in self.items()}, bound)
+        return ScaledSeries(
+            self._scale, {n * j: x for n, x in self._nums.items()}, bound, self._den
+        )
 
     def pow(self, e, terms: int | None = None) -> "ScaledSeries":
         """Formal power self**e for a rational exponent.
@@ -366,9 +360,8 @@ class ScaledSeries:
         the window of the truncated result.
         """
         e = _frac(e)
-        items = list(self.items())
         if e == 0:
-            if not items:
+            if not self._nums:
                 raise NotInvertible("0^0 is undefined for a series with no known leading term")
             return ScaledSeries.one()
         if e.denominator == 1 and e > 0 and self._bound == INF:
@@ -382,14 +375,13 @@ class ScaledSeries:
                 base = base * base if n > 1 else base
                 n >>= 1
             return result
-        if not items:
+        if not self._nums:
             if e < 0:
                 raise NotInvertible(
                     "negative power of a series with zero leading coefficient within tracked precision"
                 )
             # |f| = O(q^bound) implies |f^e| = O(q^(e*bound)).
             return ScaledSeries.zero(self._bound * e)
-        x0, c0 = items[0]
         if e.denominator == 1:
             # Integer powers: binary exponentiation over the (fast) product;
             # negative powers invert the unit part by the standard recurrence.
@@ -400,7 +392,7 @@ class ScaledSeries:
                     raise InsufficientPrecision(
                         "power of an exact series is not a polynomial; pass terms= to truncate"
                     )
-                base = self.truncated(x0 + Fraction(terms))
+                base = self.truncated(self.valuation() + Fraction(terms))
             if n < 0:
                 base = base._unit_inverse()
                 n = -n
@@ -413,6 +405,7 @@ class ScaledSeries:
                 if n:
                     acc = acc * acc
             return result
+        x0, c0, g, u = self._unit_part()
         ell = e.denominator
         root = _rational_nth_root(c0, ell)
         if root is None:
@@ -430,28 +423,15 @@ class ScaledSeries:
             window = self._bound - x0
         # Binomial-series recurrence on (1+u)^e with u = self/(c0 q^x0) - 1:
         #   n*b_n = sum_{k=1..n} ((e+1)k - n) u_k b_{n-k},  b_0 = 1.
-        rel = []
-        for exp, c in items[1:]:
-            num = (exp - x0) * self._scale
-            rel.append((int(num), c / c0))
-        if rel:
-            g = 0
-            for n, _ in rel:
-                g = math.gcd(g, n)
-            u = {n // g: c for n, c in rel}
-        else:
-            g, u = 1, {}
-        slots_frac = window * self._scale / g
-        K = math.ceil(slots_frac) if slots_frac != int(slots_frac) else int(slots_frac)
+        K = math.ceil(window * self._scale / g)
         b = [Fraction(0)] * max(K, 1)
         b[0] = Fraction(1)
-        u_keys = sorted(u)
         for n in range(1, K):
             s = Fraction(0)
-            for k in u_keys:
+            for k, uk in u.items():
                 if k > n:
                     break
-                s += ((e + 1) * k - n) * u[k] * b[n - k]
+                s += ((e + 1) * k - n) * uk * b[n - k]
             if s:
                 b[n] = s / n
         out = {}
@@ -460,44 +440,43 @@ class ScaledSeries:
                 out[x0 * e + Fraction(k * g, self._scale)] = lead * c
         return ScaledSeries.from_terms(out, x0 * e + window)
 
+    def _unit_part(self):
+        """(x0, c0, g, u) with self = c0 q^x0 (1 + sum_k u[k] q^(k*g/scale)).
+
+        g is the gcd of the steps from the leading numerator, and u holds the
+        rational ratios to the leading coefficient in increasing k >= 1.
+        """
+        (n0, a0), *rest = self._nums.items()
+        g = math.gcd(*(n - n0 for n, _ in rest)) or self._scale
+        u = {(n - n0) // g: Fraction(x, a0) for n, x in rest}
+        return Fraction(n0, self._scale), Fraction(a0, self._den), g, u
+
     def _unit_inverse(self) -> "ScaledSeries":
         """Multiplicative inverse, window-preserving; requires a finite bound."""
-        items = list(self.items())
-        if not items:
+        if not self._nums:
             raise NotInvertible("no nonzero leading coefficient within tracked precision")
-        x0, c0 = items[0]
         if self._bound == INF:
             raise InsufficientPrecision("inverse of an exact series needs a truncation")
+        x0, c0, g, u = self._unit_part()
         window = self._bound - x0
-        scale = self._scale
-        rel = [(int((e - x0) * scale), c / c0) for e, c in items[1:]]
-        g = 0
-        for n, _ in rel:
-            g = math.gcd(g, n)
-        g = g or scale
-        u = {n // g: c for n, c in rel}
-        lim = window * scale / g
-        K = math.ceil(lim) if lim != int(lim) else int(lim)
-        K = max(K, 1)
-        ints = all(c.denominator == 1 for c in u.values())
-        if ints:
+        K = max(math.ceil(window * self._scale / g), 1)
+        if all(c.denominator == 1 for c in u.values()):
             u = {k: c.numerator for k, c in u.items()}
-        u_keys = sorted(u)
         b: list = [0] * K
         b[0] = 1
         for n in range(1, K):
             s = 0
-            for k in u_keys:
+            for k, uk in u.items():
                 if k > n:
                     break
                 if b[n - k]:
-                    s -= u[k] * b[n - k]
+                    s -= uk * b[n - k]
             b[n] = s
         inv_c0 = 1 / c0
         out = {}
         for k, c in enumerate(b):
             if c != 0:
-                out[-x0 + Fraction(k * g, scale)] = inv_c0 * c
+                out[-x0 + Fraction(k * g, self._scale)] = inv_c0 * c
         return ScaledSeries.from_terms(out, -x0 + window)
 
     def sqrt(self, terms: int | None = None) -> "ScaledSeries":
@@ -506,7 +485,7 @@ class ScaledSeries:
     def truncated(self, bound) -> "ScaledSeries":
         """Forget knowledge beyond the given exponent bound."""
         bound = min(self._bound, _frac(bound) if bound != INF else INF)
-        return ScaledSeries.from_terms(dict(self.items()), bound)
+        return ScaledSeries(self._scale, self._nums, bound, self._den)
 
 
 def psi_expansion(terms: int) -> ScaledSeries:

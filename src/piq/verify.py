@@ -66,7 +66,7 @@ from .ident import (
     _single_pi_term,
 )
 from .quasimod import E2Combo, E4Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
-from .series import INF, ScaledSeries, _frac, _top_numerator
+from .series import INF, ScaledSeries, _frac
 
 
 def sturm_bound(level: int, weight: int) -> int:
@@ -274,43 +274,21 @@ def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
 def _pi_sum(pairs, min_bound: Fraction) -> ScaledSeries:
     """Expansion of sum coef * mono over (coef, mono) pairs, bound at least min_bound.
 
-    Each part's integer numerators are added, scaled over the lcm of the
-    coefficient denominators, onto one accumulator on the lcm of the parts'
-    lattices, cut at the smallest part bound so far; the result is exactly
-    the sum of the parts' ``_pi_series(mono, min_bound) * coef``.
+    The parts are expanded one at a time into ``ScaledSeries.linear_sum``'s
+    integer accumulator, so a long sum never holds all its expansions.
     """
-    pairs = [(coef, mono) for coef, mono in pairs if coef]
-    if not pairs:
-        return ScaledSeries.zero()
-    den = math.lcm(*(coef.denominator for coef, _ in pairs))
-    scale, bound, acc = 1, INF, {}
-    for coef, mono in pairs:
-        part_scale, nums, part_bound = mono.numerators(_pi_window(mono, min_bound))
-        if scale % part_scale:
-            grow = part_scale // math.gcd(scale, part_scale)
-            acc = {n * grow: x for n, x in acc.items()}
-            scale *= grow
-        bound = min(bound, part_bound)
-        top = _top_numerator(bound, scale)
-        step = scale // part_scale
-        mult = coef.numerator * (den // coef.denominator)
-        for n, x in nums.items():
-            n *= step
-            if top is not None and n > top:
-                break  # numerators come in increasing order
-            acc[n] = acc.get(n, 0) + mult * x
-    return ScaledSeries._from_numerators(
-        scale, {n: Fraction(x, den) for n, x in acc.items()}, bound
+    return ScaledSeries.linear_sum(
+        (coef, _pi_series(mono, min_bound)) for coef, mono in pairs if coef
     )
 
 
 def _term_series(t: Term, min_bound: Fraction, roots: dict) -> ScaledSeries:
-    """Expansion of a term carrying combinations or radicals.
+    """Expansion of a term without its coefficient.
 
     ``roots`` maps each radical to its square root at this min_bound, so a
     radical shared by several terms is rooted once.
     """
-    s = _pi_series(t.pi, min_bound) * t.coef
+    s = _pi_series(t.pi, min_bound)
     window = max(1, math.ceil(min_bound))
     for combo in t.lamberts:
         s = s * combo.expand(window)
@@ -323,13 +301,9 @@ def _term_series(t: Term, min_bound: Fraction, roots: dict) -> ScaledSeries:
 
 
 def _rts_sum(terms, min_bound: Fraction) -> ScaledSeries:
-    """Atom-free terms summed as integers, then the other terms one by one."""
-    out = _pi_sum(((t.coef, t.pi) for t in terms if not (t.lamberts or t.sqrts)), min_bound)
+    """Every term's expansion added onto one integer accumulator."""
     roots: dict = {}
-    for t in terms:
-        if t.lamberts or t.sqrts:
-            out = out + _term_series(t, min_bound, roots)
-    return out
+    return ScaledSeries.linear_sum((t.coef, _term_series(t, min_bound, roots)) for t in terms)
 
 
 def rts_series(terms, min_bound) -> ScaledSeries:

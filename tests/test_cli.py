@@ -88,6 +88,17 @@ class TestVerify:
         assert code == 2
         assert "parse error" in err and "1:6" in err
 
+    def test_bad_subst_hint_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.piq"
+        bad.write_text(
+            "piqdsl 1\n\nid: L12-1\n"
+            "dsl: pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2\nhint.subst: -4\n"
+        )
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: 5:13: hint.subst")
+        assert "Traceback" not in err
+
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", piq.corpus_path(), "--id", "NOPE")
         assert code == 2

@@ -208,7 +208,7 @@ def _eta_power_product(e: EtaQuotient, terms: int) -> ScaledSeries:
 
 
 def _fields(s: ScaledSeries):
-    return s.scale, s.offset, s.coeffs, s.bound
+    return s.scale, s.den, tuple(s.nums.items()), s.bound
 
 
 class TestExpand:

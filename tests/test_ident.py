@@ -131,6 +131,18 @@ class TestCorpusFile:
         rec = parse_corpus(text)[0]
         assert rec.hints.subst == 2 and rec.hints.mode == "check"
 
+    @pytest.mark.parametrize("value", ["-4", "0", "four"])
+    def test_bad_subst_hint_rejected_at_its_field(self, value):
+        text = (
+            "piqdsl 1\n\nid: L12-1\n"
+            "dsl: pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2\n"
+            f"hint.subst: {value}\n"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert (info.value.line, info.value.column) == (5, 13)
+        assert "hint.subst" in str(info.value)
+
 
 class TestEvaluate:
     def test_pi_1(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from piq.errors import InsufficientPrecision
 from piq.etaq import EtaQuotient, PiMonomial, pi_to_eta
 from piq.linalg import RationalMatrix, kernel_basis, series_window_matrix
-from piq.series import ScaledSeries as S
+from piq.series import INF, ScaledSeries as S
 
 
 def naive_rank(data):
@@ -128,6 +128,34 @@ class TestWindowLatticeRead:
                     series_window_matrix(cols, rows)
                 continue
             assert _window_rows(cols, rows) == want
+
+    def test_rational_columns_scaled_by_one_lcm(self):
+        cols = [
+            S.from_terms({0: F(1, 2), F(1, 3): 3, F(4, 3): F(-5, 2)}, 5),  # den 2
+            S.from_terms({F(1, 3): F(2, 3), 1: F(-1, 3), 2: 1}, 4),  # den 3
+            S.from_terms({0: F(7, 24), F(2, 3): F(1, 8), 3: F(-5, 12)}, INF),  # den 24
+            S.from_terms({0: 1, F(5, 3): 1}, 6),  # den 1
+        ]
+        assert [c.den for c in cols] == [2, 3, 24, 1]
+        for rows in (6, 9, 12):
+            want = _cell_matrix(cols, rows)
+            got = _window_rows(cols, rows)
+            lcm = 24
+            assert got == [[c * lcm for c in row] for row in want]
+            assert all(isinstance(x, int) for row in got for x in row)
+            assert kernel_basis(series_window_matrix(cols, rows)) == kernel_basis(
+                RationalMatrix.make(want)
+            )
+
+    def test_rational_columns_kernel_is_the_fraction_kernel(self):
+        a = S.from_terms({0: F(1, 2), 1: F(1, 3), 2: F(-7, 24)}, 10)
+        b = S.from_terms({1: F(2, 3), 3: F(1, 24)}, 10)
+        cols = [a, b, a * F(3, 2) - b * F(5, 3)]
+        rows = 8
+        want = _cell_matrix(cols, rows)
+        assert series_window_matrix(cols, rows).entries != RationalMatrix.make(want).entries
+        assert kernel_basis(series_window_matrix(cols, rows)) == [(9, -10, -6)]
+        assert kernel_basis(RationalMatrix.make(want)) == [(9, -10, -6)]
 
 
 @given(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -45,7 +46,7 @@ class TestAdd:
     def test_scale_reconciliation(self):
         c = S.monomial(F(1, 4)) + S.monomial(F(1, 2))
         assert c.scale == 4
-        assert c.offset == 1
+        assert min(c.nums) == 1
         assert [e for e, _ in c.items()] == [F(1, 4), F(1, 2)]
 
     def test_additive_inverse_of_pi_head(self):
@@ -69,7 +70,7 @@ class TestAdd:
         b = S.from_terms({F(1, 4): -3, F(5, 4): F(-1, 2)}, F(9, 2))
         c = a + b
         assert c.is_zero() and c.bound == F(9, 2)
-        assert (c.scale, c.offset, c.coeffs) == (1, 0, ())
+        assert (c.scale, c.den, c.nums) == (1, 1, {})
 
     def test_terms_at_or_past_bound_dropped(self):
         exact = S.from_terms({0: 1, 3: 2, 5: 7, 40: 1}, INF)
@@ -227,9 +228,9 @@ class TestCanonicalForm:
         assert s == S.from_terms({F(1, 2): 1, F(3, 2): 2}, F(5, 2))
 
     def test_equality_is_representation_independent(self):
-        a = S(4, 4, [1, 0, 0, 0, 1], 3)
-        b = S(2, 2, [1, 0, 1], 3)
-        c = S(1, 1, [1, 1], 3)
+        a = S(4, {4: 1, 5: 0, 6: 0, 7: 0, 8: 1}, 3)
+        b = S(2, {2: 1, 3: 0, 4: 1}, 3)
+        c = S(1, {1: 1, 2: 1}, 3)
         assert a == b == c
 
 
@@ -275,8 +276,8 @@ def test_add_matches_from_terms_on_merged_dict(a, b):
         merged[e] = merged.get(e, F(0)) + c
     want = S.from_terms(merged, min(a.bound, b.bound))
     got = a + b
-    assert (got.scale, got.offset, got.coeffs, got.bound) == (
-        want.scale, want.offset, want.coeffs, want.bound
+    assert (got.scale, got.den, tuple(got.nums.items()), got.bound) == (
+        want.scale, want.den, tuple(want.nums.items()), want.bound
     )
 
 
@@ -303,3 +304,124 @@ def test_pow_roundtrip(entries, e):
     powered = base.pow(e)
     back = powered.pow(F(1) / F(e))
     assert back.agrees_with(base, upto=min(back.bound, base.bound))
+
+
+# ---------------------------------------------------------------------------
+# The integer storage against a {Fraction exponent: Fraction} reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _raw_series(draw):
+    """(series, reference dict, bound) built through the raw constructor.
+
+    The lattice, the denominator and the bound are drawn independently, the
+    numerators may share factors with both, and zero entries are allowed.
+    """
+    scale = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 24]))
+    den = draw(st.sampled_from([1, 2, 3, 5, 6, 24]))
+    nums = draw(
+        st.dictionaries(
+            st.integers(min_value=-12, max_value=72),
+            st.integers(min_value=-6, max_value=6),
+            max_size=7,
+        )
+    )
+    bound = draw(st.sampled_from([INF, F(1, 2), F(7, 3), F(4), F(25, 6)]))
+    ref = {
+        F(n, scale): F(x, den) for n, x in nums.items() if x and F(n, scale) < bound
+    }
+    return S(scale, nums, bound, den), ref, bound
+
+
+def _assert_matches(got, ref, bound):
+    """got holds exactly ref (zeros dropped, cut at bound), in canonical form."""
+    want = {e: c for e, c in ref.items() if c and e < bound}
+    assert dict(got.items()) == want
+    assert got.bound == bound
+    keys = list(got.nums)
+    assert keys == sorted(keys)
+    assert all(isinstance(x, int) and x for x in got.nums.values())
+    assert math.gcd(got.den, *got.nums.values()) == 1
+    assert math.gcd(got.scale, *keys) == 1
+    if not keys:
+        assert (got.scale, got.den) == (1, 1)
+    rebuilt = S.from_terms(want, bound)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+def _ref_valuation(ref, bound):
+    return min(ref) if ref else bound
+
+
+@given(_raw_series())
+@settings(max_examples=120, deadline=None)
+def test_raw_constructor_is_canonical(a):
+    _assert_matches(*a)
+
+
+@given(_raw_series(), _raw_series())
+@settings(max_examples=120, deadline=None)
+def test_mul_matches_reference(a, b):
+    (sa, ra, ba), (sb, rb, bb) = a, b
+    bound = min(_ref_valuation(ra, ba) + bb, _ref_valuation(rb, bb) + ba)
+    want: dict = {}
+    for ea, ca in ra.items():
+        for eb, cb in rb.items():
+            want[ea + eb] = want.get(ea + eb, F(0)) + ca * cb
+    _assert_matches(sa * sb, want, bound)
+
+
+@given(_raw_series(), st.fractions(min_value=-6, max_value=6, max_denominator=9))
+@settings(max_examples=120, deadline=None)
+def test_scalar_mul_and_neg_match_reference(a, c):
+    s, ref, bound = a
+    if c == 0:
+        _assert_matches(s * c, {}, INF)
+    else:
+        _assert_matches(s * c, {e: c * x for e, x in ref.items()}, bound)
+        _assert_matches(c * s, {e: c * x for e, x in ref.items()}, bound)
+    _assert_matches(-s, {e: -x for e, x in ref.items()}, bound)
+
+
+@given(_raw_series(), st.integers(min_value=1, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_subst_power_matches_reference(a, j):
+    s, ref, bound = a
+    _assert_matches(s.subst_power(j), {e * j: x for e, x in ref.items()}, bound * j)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-4, max_value=4, max_denominator=8), _raw_series()
+        ),
+        max_size=5,
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_linear_sum_matches_reference(parts):
+    want: dict = {}
+    bound = INF
+    for c, (_, ref, b) in parts:
+        if c:
+            bound = min(bound, b)
+            for e, x in ref.items():
+                want[e] = want.get(e, F(0)) + c * x
+    consumed = []
+
+    def pairs():
+        for c, (s, _, _) in parts:
+            consumed.append(c)
+            yield c, s
+
+    _assert_matches(S.linear_sum(pairs()), want, bound)
+    assert len(consumed) == len(parts)
+
+
+def test_sparse_storage_of_a_substituted_pi():
+    from piq.etaq import PiMonomial
+
+    s = PiMonomial.make({2000: 1}).expand(8)
+    assert len(s.nums) == 7
+    assert (s.scale, s.den, s.valuation()) == (1, 1, 500)

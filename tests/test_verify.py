@@ -109,10 +109,14 @@ class TestProve:
     def test_subst_hint_respected(self):
         from piq.ident import Hints
 
-        rec = parse_identity("pi(1)*pi(3) = pi(2)^2 - 2*pi(2)*pi(6) + 3*pi(6)^2", id="h")
-        rec = type(rec)(rec.id, rec.source, rec.lhs, rec.rhs, Hints(subst=4))
-        rep = prove(rec)
-        assert rep.subst_exponent == 4
+        # The corpus record L12-1, proved with and without a substitution hint.
+        rec = parse_identity("pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2", id="L12-1")
+        base = prove(rec)
+        assert base.verdict == "PROVEN"
+        assert (base.subst_exponent, base.level) == (1, 12)
+        hinted = prove(type(rec)(rec.id, rec.source, rec.lhs, rec.rhs, Hints(subst=4)))
+        assert hinted.verdict == "PROVEN"
+        assert (hinted.subst_exponent, hinted.level, hinted.sturm_bound) == (4, 48, 17)
 
     def test_clear_hint_changes_certificate_not_verdict(self):
         from piq.ident import Hints
@@ -374,7 +378,7 @@ def _reference_rts_series(terms, min_bound):
 
 
 def _fields(s):
-    return s.scale, s.offset, s.coeffs, s.bound
+    return s.scale, s.den, tuple(s.nums.items()), s.bound
 
 
 def _pm(exps):
