@@ -42,9 +42,10 @@ from .quasimod import (
     E2Combo,
     E4Combo,
     LambertSpec,
-    combo_rules,
     expand_lambert,
     is_modular_combo,
+    pair_rule,
+    reduce_atom,
     reduce_to_e2,
     sigma,
 )

@@ -54,6 +54,21 @@ def _max_terms_cap() -> int | None:
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, rejected with a usage error otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _load_records(args) -> list[IdentityRecord]:
     if args.dsl:
         return [parse_identity(args.dsl, id="inline")]
@@ -218,6 +233,9 @@ def cmd_haupt(args) -> int:
         return EXIT_USAGE
     try:
         fit = fit_rational(target, h, args.level, max_degree=args.max_degree)
+    except ValueError as exc:  # a level where Gamma_0(N) has no hauptmodul
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PiqError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -249,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dsl", help="inline identity instead of a corpus file")
     v.add_argument("--id", action="append", help="restrict to the given record id(s)")
     v.add_argument("--mode", choices=["proof", "check"], default="proof")
-    v.add_argument("--terms", type=int, default=100, help="check-mode coefficient window")
+    v.add_argument("--terms", type=_int_at_least(1), default=100, help="check-mode coefficient window")
     v.add_argument("--report", choices=["text", "tsv"], default="text")
     v.add_argument("--max-coefficients", type=int, default=2000)
     v.add_argument("--jobs", type=int, default=1)
@@ -268,19 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_discover)
 
     h = sub.add_parser("haupt", help="fit a weight-0 expression as a rational function of a hauptmodul")
-    h.add_argument("--level", type=int, required=True)
+    h.add_argument("--level", type=_int_at_least(1), required=True)
     h.add_argument("--target", required=True)
     h.add_argument("--haupt", required=True)
     h.add_argument("--max-degree", type=int, default=8)
     h.set_defaults(func=cmd_haupt)
 
     c = sub.add_parser("cusps", help="list canonical cusp representatives of Gamma_0(N)")
-    c.add_argument("--level", type=int, required=True)
+    c.add_argument("--level", type=_int_at_least(1), required=True)
     c.set_defaults(func=cmd_cusps)
 
     s = sub.add_parser("sturm", help="Sturm coefficient bound for (level, weight)")
-    s.add_argument("--level", type=int, required=True)
-    s.add_argument("--weight", type=int, required=True)
+    s.add_argument("--level", type=_int_at_least(1), required=True)
+    s.add_argument("--weight", type=_int_at_least(0), required=True)
     s.set_defaults(func=cmd_sturm)
     return ap
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PiqError, Unbounded
-from .etaq import PiMonomial
+from .etaq import PiMonomial, index_gamma0
 from .ident import parse_identity
 from .linalg import kernel_basis, series_window_matrix
 from .verify import ProofReport, _pi_series, prove, sturm_bound
@@ -89,19 +89,8 @@ def gosper_bound(query: DiscoveryQuery) -> int:
     if m <= 2:
         raise Unbounded("a degree guarantee needs at least three indices")
     n = math.lcm(*query.indices)
-    dim_factor = Fraction(1)
-    mm = n
-    while mm % 2 == 0:
-        mm //= 2
-    p = 3
-    while p * p <= mm:
-        if mm % p == 0:
-            dim_factor *= Fraction(p + 1, p)
-            while mm % p == 0:
-                mm //= p
-        p += 2
-    if mm > 1:
-        dim_factor *= Fraction(mm + 1, mm)
+    odd = n // (n & -n)
+    dim_factor = Fraction(index_gamma0(odd), odd)  # prod_{p | n, p > 2}(1 + 1/p)
     k = 1
     while True:
         count = math.comb(2 * k + m - 1, m - 1)

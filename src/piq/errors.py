@@ -54,6 +54,7 @@ class ParseError(PiqError):
 
     def __init__(self, message, line, column, expected=()):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
         self.expected = tuple(expected)

@@ -126,16 +126,7 @@ def to_dsl(e: Expr) -> str:
     if isinstance(e, Pi):
         return f"pi({e.n})"
     if isinstance(e, Lambert):
-        s = e.spec
-        if s.kind == "LAM":
-            return f"lam({s.a},{s.b})"
-        if s.kind == "LAM4":
-            return f"lam4({s.a},{s.b})"
-        if s.kind == "DL3":
-            return "dl3()"
-        if s.kind == "SODD":
-            return "sodd()"
-        return f"{s.kind}({s.a})"
+        return str(e.spec)
     if isinstance(e, Sqrt):
         return f"sqrt({to_dsl(e.child)})"
     if isinstance(e, Subst):
@@ -412,8 +403,11 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
                 fields["dsl"], id=fields["id"], source=fields.get("source", ""), hints=hints
             )
         except ParseError as exc:
+            # The DSL value is one line: place the error at its column there.
+            dsl_line, dsl_column = spots["dsl"]
             raise ParseError(
-                f"in record {fields['id']!r}: {exc}", at_line, exc.column, exc.expected
+                f"in record {fields['id']!r}: {exc.message}",
+                dsl_line, dsl_column + exc.column - 1, exc.expected,
             ) from exc
         records.append(rec)
         fields, spots = {}, {}
@@ -518,10 +512,8 @@ def evaluate(expr: Expr, terms: int) -> ScaledSeries:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def evaluate_to_bound(expr: Expr, min_bound, max_terms: int | None = None) -> ScaledSeries:
+def evaluate_to_bound(expr: Expr, min_bound) -> ScaledSeries:
     """Evaluate with enough window that the result bound reaches min_bound."""
-    from .errors import InsufficientPrecision
-
     min_bound = _frac(min_bound)
     t = max(8, math.ceil(min_bound) + 4)
     while True:
@@ -530,10 +522,6 @@ def evaluate_to_bound(expr: Expr, min_bound, max_terms: int | None = None) -> Sc
             return s
         deficit = math.ceil(min_bound - s.bound) + 2
         t += max(4, deficit)
-        if max_terms is not None and t > max_terms:
-            raise InsufficientPrecision(
-                f"window cap {max_terms} reached while expanding to O(q^{min_bound})"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Eisenstein and Lambert series with reductions to certified modular combinations.
 
 Lambert sums are expanded exactly by double-sum enumeration.  The reduction
-layer rewrites recognized Lambert patterns into combinations
+layer is one rewrite table, ``reduce_atom`` for single atoms and ``pair_rule``
+for the quartic pair, and each rule carries the citation a proof certificate
+records.  It rewrites recognized Lambert patterns into combinations
 ``constant + sum a_d E2(d z)``; such a combination is a holomorphic weight-2
 form on Gamma_0(lcm of scales) exactly when sum a_d / d = 0, which is the
 certification rule used by the proof engine.  Sums of E4(m z) are holomorphic
@@ -117,40 +119,76 @@ def expand_lambert(spec: LambertSpec, terms: int) -> ScaledSeries:
         while spec.a * m < terms:
             acc[spec.a * m] = sigma(1, m)
             m += 2
-    elif spec.kind == "E2":
+    else:  # E2 or E4: 1 + c * sum sigma_s(n) q^(an)
+        s, c = (1, -24) if spec.kind == "E2" else (3, 240)
         acc[0] = 1
         n = 1
         while spec.a * n < terms:
-            acc[spec.a * n] = -24 * sigma(1, n)
-            n += 1
-    elif spec.kind == "E4":
-        acc[0] = 1
-        n = 1
-        while spec.a * n < terms:
-            acc[spec.a * n] = 240 * sigma(3, n)
+            acc[spec.a * n] = c * sigma(s, n)
             n += 1
     return ScaledSeries(1, acc, terms)
 
 
 @dataclass(frozen=True)
-class E2Combo:
-    """constant + sum a_d * E2(d z), with exact rational a_d."""
+class _EisensteinCombo:
+    """sum a_d * E_k(d z) with exact rational a_d: the code both weights share."""
 
     terms: tuple[tuple[int, Fraction], ...]
-    constant: Fraction = Fraction(0)
-    weight = 2
 
     @classmethod
-    def make(cls, terms: Mapping[int, object], constant=0) -> "E2Combo":
+    def make(cls, terms: Mapping[int, object], *constant):
         clean = {}
         for d, a in terms.items():
             a = _frac(a)
             if a == 0:
                 continue
             if d < 1:
-                raise ValueError("E2 scale must be positive")
+                raise ValueError(f"E{cls.weight} scale must be positive")
             clean[int(d)] = a
-        return cls(tuple(sorted(clean.items())), _frac(constant))
+        return cls(tuple(sorted(clean.items())), *map(_frac, constant))
+
+    def _constant(self) -> tuple:
+        """The fields after ``terms``: E2's constant, nothing for E4."""
+        return ()
+
+    def __mul__(self, c):
+        c = _frac(c)
+        return self.make({d: a * c for d, a in self.terms}, *(x * c for x in self._constant()))
+
+    __rmul__ = __mul__
+
+    def scaled(self, j: int):
+        return self.make({d * j: a for d, a in self.terms}, *self._constant())
+
+    def key(self):
+        """Sort key among the atoms of a term: weight, then the terms."""
+        return (self.weight, self.terms)
+
+    def describe(self) -> str:
+        parts = [str(c) for c in self._constant() if c]
+        parts.append(" + ".join(f"{a}*E{self.weight}({d}z)" for d, a in self.terms))
+        return "(" + " + ".join(parts) + ")"
+
+    @property
+    def level(self) -> int:
+        return lcm(*(d for d, _ in self.terms)) if self.terms else 1
+
+    def expand(self, terms: int) -> ScaledSeries:
+        out = ScaledSeries.from_terms({0: c for c in self._constant()}, terms)
+        for d, a in self.terms:
+            out = out + expand_lambert(LambertSpec(f"E{self.weight}", d), terms) * a
+        return out
+
+
+@dataclass(frozen=True)
+class E2Combo(_EisensteinCombo):
+    """constant + sum a_d * E2(d z), with exact rational a_d."""
+
+    constant: Fraction = Fraction(0)
+    weight = 2
+
+    def _constant(self) -> tuple:
+        return (self.constant,)
 
     def __add__(self, other: "E2Combo") -> "E2Combo":
         acc = dict(self.terms)
@@ -158,35 +196,8 @@ class E2Combo:
             acc[d] = acc.get(d, Fraction(0)) + a
         return E2Combo.make(acc, self.constant + other.constant)
 
-    def __mul__(self, c) -> "E2Combo":
-        c = _frac(c)
-        return E2Combo.make({d: a * c for d, a in self.terms}, self.constant * c)
-
-    __rmul__ = __mul__
-
-    def scaled(self, j: int) -> "E2Combo":
-        return E2Combo.make({d * j: a for d, a in self.terms}, self.constant)
-
     def drop_constant(self) -> "E2Combo":
         return E2Combo(self.terms, Fraction(0))
-
-    def key(self):
-        """Sort key among the atoms of a term: weight, then the E2 terms."""
-        return (self.weight, self.terms)
-
-    def describe(self) -> str:
-        inner = " + ".join(f"{a}*E2({d}z)" for d, a in self.terms)
-        return f"({self.constant} + {inner})" if self.constant else f"({inner})"
-
-    @property
-    def level(self) -> int:
-        return lcm(*(d for d, _ in self.terms)) if self.terms else 1
-
-    def expand(self, terms: int) -> ScaledSeries:
-        out = ScaledSeries.from_terms({0: self.constant}, terms)
-        for d, a in self.terms:
-            out = out + expand_lambert(LambertSpec("E2", d), terms) * a
-        return out
 
 
 def is_modular_combo(c: E2Combo) -> bool:
@@ -195,47 +206,16 @@ def is_modular_combo(c: E2Combo) -> bool:
 
 
 @dataclass(frozen=True)
-class E4Combo:
+class E4Combo(_EisensteinCombo):
     """sum a_m * E4(m z); holomorphic weight-4 form on Gamma_0(lcm of scales)."""
 
-    terms: tuple[tuple[int, Fraction], ...]
     weight = 4
 
-    @classmethod
-    def make(cls, terms: Mapping[int, object]) -> "E4Combo":
-        clean = {}
-        for m, a in terms.items():
-            a = _frac(a)
-            if a == 0:
-                continue
-            clean[int(m)] = a
-        return cls(tuple(sorted(clean.items())))
 
-    def __mul__(self, c) -> "E4Combo":
-        c = _frac(c)
-        return E4Combo.make({m: a * c for m, a in self.terms})
-
-    __rmul__ = __mul__
-
-    def scaled(self, j: int) -> "E4Combo":
-        return E4Combo.make({m * j: a for m, a in self.terms})
-
-    def key(self):
-        """Sort key among the atoms of a term: weight, then the E4 terms."""
-        return (self.weight, self.terms)
-
-    def describe(self) -> str:
-        return "(" + " + ".join(f"{a}*E4({m}z)" for m, a in self.terms) + ")"
-
-    @property
-    def level(self) -> int:
-        return lcm(*(m for m, _ in self.terms)) if self.terms else 1
-
-    def expand(self, terms: int) -> ScaledSeries:
-        out = ScaledSeries.zero(terms)
-        for m, a in self.terms:
-            out = out + expand_lambert(LambertSpec("E4", m), terms) * a
-        return out
+# ---------------------------------------------------------------------------
+# the rewrite table: every Lambert rule and the citation it leaves in a
+# proof certificate
+# ---------------------------------------------------------------------------
 
 
 def reduce_to_e2(spec: LambertSpec) -> Optional[E2Combo]:
@@ -243,7 +223,7 @@ def reduce_to_e2(spec: LambertSpec) -> Optional[E2Combo]:
 
     Registered patterns: LAM(a, 0) is (1 - E2(az))/24; LAM(2b, b) is
     (E2(2bz) - E2(bz))/24; SODD at scale m is (3E2(2mz) - E2(mz) - 2E2(4mz))/24;
-    an E2 atom is itself.  LAM4 and DL3 are handled by the pair rules below.
+    an E2 atom is itself.
     """
     if spec.kind == "E2":
         return E2Combo.make({spec.a: 1})
@@ -259,46 +239,30 @@ def reduce_to_e2(spec: LambertSpec) -> Optional[E2Combo]:
     return None
 
 
-# Rule names recorded in proof certificates.
-RULE_QUARTIC_PAIR = "lam4-pair-to-cube-sum"
-RULE_CUBE_SUM_TO_E4 = "cube-sum-to-E4-difference"
+def reduce_atom(spec: LambertSpec) -> Optional[tuple[_EisensteinCombo, str]]:
+    """The certified combination equal to one Lambert atom, with its citation.
 
-
-def rule_quartic_pair(spec4: LambertSpec, spec2: LambertSpec) -> Optional[LambertSpec]:
-    """6*LAM4(2b,b) + LAM(2b,b) collapses to the cube sum DL3 at scale b."""
-    if spec4.kind != "LAM4" or spec2.kind != "LAM":
-        return None
-    if (spec4.a, spec4.b) != (spec2.a, spec2.b) or spec4.a != 2 * spec4.b:
-        return None
-    return LambertSpec("DL3", spec4.b)
-
-
-def rule_cube_sum(spec: LambertSpec) -> Optional[E4Combo]:
-    """DL3 at scale m equals (E4(mz) - E4(2mz))/240."""
-    if spec.kind != "DL3":
-        return None
-    m = spec.a
-    return E4Combo.make({m: Fraction(1, 240), 2 * m: Fraction(-1, 240)})
-
-
-def combo_rules(fragment):
-    """Apply a registered rewrite to a coefficient-weighted Lambert fragment.
-
-    ``fragment`` is a sequence of (coefficient, LambertSpec) pairs.  Returns
-    (rewritten fragment or combo, rule name) for the two registered rules,
-    or None when nothing matches.
+    DL3 at scale m is (E4(mz) - E4(2mz))/240; an E4 atom is itself; the E2
+    patterns are those of ``reduce_to_e2``.  None for anything else: a LAM4
+    atom reduces only through its pair rule.
     """
-    frag = [( _frac(c), s) for c, s in fragment]
-    if len(frag) == 2:
-        (c1, s1), (c2, s2) = frag
-        for (ca, sa), (cb, sb) in (((c1, s1), (c2, s2)), ((c2, s2), (c1, s1))):
-            if sa.kind == "LAM4" and sb.kind == "LAM" and cb != 0 and ca == 6 * cb:
-                dl3 = rule_quartic_pair(sa, sb)
-                if dl3 is not None:
-                    return [(cb, dl3)], RULE_QUARTIC_PAIR
-    if len(frag) == 1:
-        c, s = frag[0]
-        combo = rule_cube_sum(s)
-        if combo is not None:
-            return combo * c, RULE_CUBE_SUM_TO_E4
-    return None
+    if spec.kind == "DL3":
+        m = spec.a
+        combo = E4Combo.make({m: Fraction(1, 240), 2 * m: Fraction(-1, 240)})
+        return combo, "cube-sum-to-E4-difference"
+    if spec.kind == "E4":
+        return E4Combo.make({spec.a: 1}), f"{spec} -> E4 combination"
+    combo = reduce_to_e2(spec)
+    return None if combo is None else (combo, f"{spec} -> E2 combination")
+
+
+def pair_rule(spec: LambertSpec) -> Optional[tuple[LambertSpec, int, LambertSpec, str]]:
+    """(partner, ratio, result, citation) when ratio*spec + partner = result.
+
+    The one registered pair: 6*LAM4(2b,b) + LAM(2b,b) is the cube sum DL3 at
+    scale b.
+    """
+    if spec.kind != "LAM4" or spec.a != 2 * spec.b:
+        return None
+    partner = LambertSpec("LAM", spec.a, spec.b)
+    return partner, 6, LambertSpec("DL3", spec.b), "lam4-pair-to-cube-sum"

@@ -6,11 +6,11 @@ The pipeline for :func:`prove`:
     denominator (quotients cross-multiplied, negative Pi powers lifted).
     The prover works on these ``ident.Term`` sums and their ``ts_*``
     operations throughout; there is no second term algebra.
-2.  Rewrite Lambert atoms in place: the registered rules of
-    ``quasimod.combo_rules`` collapse quartic Lambert pairs to the cube sum
-    and turn the cube sum into an E4 difference, an E4 atom stands as its
-    own E4 combination, and the remaining patterns become E2 combinations
-    whose constants are split off and merged with the other constant terms.
+2.  Rewrite Lambert atoms in place from the one rewrite table of
+    ``quasimod``: ``pair_rule`` collapses quartic Lambert pairs to the cube
+    sum, and ``reduce_atom`` turns each remaining atom into its E2 or E4
+    combination and the citation the certificate records.  E2 constants
+    are split off and merged with the other constant terms.
     A reduced term is a ``Term`` whose atom slot holds these certified
     ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
@@ -65,7 +65,7 @@ from .ident import (
     _key,
     _single_pi_term,
 )
-from .quasimod import E2Combo, E4Combo, LambertSpec, combo_rules, is_modular_combo, reduce_to_e2
+from .quasimod import E2Combo, is_modular_combo, pair_rule, reduce_atom
 from .series import INF, ScaledSeries, _frac
 
 
@@ -76,8 +76,8 @@ def sturm_bound(level: int, weight: int) -> int:
     return (weight * index_gamma0(level)) // 12 + 1
 
 
-def root_match(f: ScaledSeries, g: ScaledSeries, ell: int = 2) -> bool:
-    """Branch selection after an ell-th power comparison.
+def root_match(f: ScaledSeries, g: ScaledSeries) -> bool:
+    """Branch selection after a power comparison.
 
     Given f^ell = g^ell, the series agree iff their leading exponents and
     leading coefficients are equal (the only real branch with matching
@@ -165,31 +165,29 @@ class _Uncertifiable(PiqError):
 def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
     """Collapse term pairs that a registered pair rule turns into one atom.
 
-    A term's first LAM4 atom pairs with the term carrying LAM at the same
-    parameters in its place; ``combo_rules`` decides whether the two collapse.
+    A term's first atom with a pair rule pairs with the term carrying the
+    rule's partner in its place; they collapse when the coefficients stand
+    in the rule's ratio, and the result keeps the partner's coefficient.
     """
     work = list(terms)
     changed = True
     while changed:
         changed = False
         for i, t in enumerate(work):
-            quartics = [s for s in t.lamberts if s.kind == "LAM4"]
-            if not quartics:
+            found = [(s, r) for s in t.lamberts if (r := pair_rule(s))]
+            if not found:
                 continue
-            spec4 = quartics[0]
-            spec2 = LambertSpec("LAM", spec4.a, spec4.b)
+            spec, (partner, ratio, merged, citation) = found[0]
             rest = list(t.lamberts)
-            rest.remove(spec4)
-            partner_lams = tuple(sorted(rest + [spec2], key=_key))
+            rest.remove(spec)
+            partner_lams = tuple(sorted(rest + [partner], key=_key))
             for j, u in enumerate(work):
                 if j == i or u.pi != t.pi or u.sqrts != t.sqrts or u.lamberts != partner_lams:
                     continue
-                hit = combo_rules([(t.coef, spec4), (u.coef, spec2)])
-                if hit is not None:
-                    [(coef, merged)], rule = hit
-                    work[i] = Term(coef, t.pi, tuple(sorted(rest + [merged], key=_key)), t.sqrts)
+                if u.coef != 0 and t.coef == ratio * u.coef:
+                    work[i] = Term(u.coef, t.pi, tuple(sorted(rest + [merged], key=_key)), t.sqrts)
                     del work[j]
-                    citations.append(rule)
+                    citations.append(citation)
                     changed = True
                     break
             if changed:
@@ -224,25 +222,14 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
     out: list[Term] = []
     folds: dict = {}  # (pi, E4 factors, radicals) -> accumulated E2 combination
     for t in _apply_pair_rule(terms, citations):
-        e2s: list[E2Combo] = []
-        e4s: list[E4Combo] = []
+        e2s, e4s = [], []
         for spec in t.lamberts:
-            hit = combo_rules([(1, spec)])
-            if hit is not None:
-                e4s.append(hit[0])
-                citations.append(hit[1])
-                continue
-            if spec.kind == "E4":
-                # An E4 atom is itself a weight-4 form, as an E2 atom is
-                # itself an E2 combination.
-                e4s.append(E4Combo.make({spec.a: 1}))
-                citations.append(f"{spec} -> E4 combination")
-                continue
-            combo = reduce_to_e2(spec)
-            if combo is None:
+            hit = reduce_atom(spec)
+            if hit is None:
                 raise _Uncertifiable(f"irreducible Lambert pattern {spec}")
-            citations.append(f"{spec} -> E2 combination")
-            e2s.append(combo)
+            combo, citation = hit
+            (e2s if isinstance(combo, E2Combo) else e4s).append(combo)
+            citations.append(citation)
         for atom in t.sqrts:
             if any(u.lamberts for u in atom.inner):
                 raise _Uncertifiable("Lambert series under a radical")

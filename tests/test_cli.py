@@ -83,10 +83,34 @@ class TestVerify:
 
     def test_corrupted_corpus_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.piq"
-        bad.write_text("piqdsl 1\n\nid: X\ndsl: pi(1 = 2\n")
-        code, _, err = run(capsys, "verify", str(bad))
-        assert code == 2
-        assert "parse error" in err and "1:6" in err
+        bad.write_text("piqdsl 1\n\nid: X\nsource: s\ndsl: pi(1 = 2\n\n")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        # The position is that of the '=' in the file, not inside the DSL text.
+        assert err == "parse error: 5:11: in record 'X': expected ')' but found '='\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("verify", piq.corpus_path(), "--mode", "check", "--terms", "0"),
+             "argument --terms: must be >= 1, got 0"),
+            (("sturm", "--level", "0", "--weight", "2"), "argument --level: must be >= 1, got 0"),
+            (("sturm", "--level", "4", "--weight", "-2"), "argument --weight: must be >= 0, got -2"),
+            (("cusps", "--level", "0"), "argument --level: must be >= 1, got 0"),
+            (("haupt", "--level", "11", "--target", "pi(1)", "--haupt", "pi(2)"),
+             "usage error: Gamma_0(11) does not have genus zero"),
+        ],
+        ids=["terms", "sturm-level", "sturm-weight", "cusps-level", "haupt-genus"],
+    )
+    def test_out_of_range_number_exit_2(self, capsys, argv, message):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(message)
+        assert "Traceback" not in err
 
     def test_bad_subst_hint_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.piq"

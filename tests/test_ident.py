@@ -143,6 +143,21 @@ class TestCorpusFile:
         assert (info.value.line, info.value.column) == (5, 13)
         assert "hint.subst" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "dsl_line,line,column,message",
+        [
+            ("dsl: pi(1 = 2", 5, 11, "expected ')' but found '='"),
+            ("dsl:   pi(1", 5, 12, "expected ')' but found 'end of input'"),
+        ],
+        ids=["one-line", "end-of-input"],
+    )
+    def test_dsl_error_at_its_file_position(self, dsl_line, line, column, message):
+        text = f"piqdsl 1\n\nid: X\nsource: s\n{dsl_line}\n\nid: Y\ndsl: 1 = 1\n"
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"{line}:{column}: in record 'X': {message}"
+
 
 class TestEvaluate:
     def test_pi_1(self):

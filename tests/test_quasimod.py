@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +8,10 @@ from piq.quasimod import (
     E2Combo,
     E4Combo,
     LambertSpec,
-    combo_rules,
     expand_lambert,
     is_modular_combo,
+    pair_rule,
+    reduce_atom,
     reduce_to_e2,
     sigma,
 )
@@ -143,32 +145,137 @@ class TestModularCombo:
 
 
 class TestComboRules:
+    """The former ``combo_rules`` cases, asked of the rule table."""
+
     def test_quartic_pair(self):
-        out, rule = combo_rules([(6, LambertSpec("LAM4", 2, 1)), (1, LambertSpec("LAM", 2, 1))])
+        partner, ratio, result, rule = pair_rule(LambertSpec("LAM4", 2, 1))
         assert rule == "lam4-pair-to-cube-sum"
-        assert out == [(F(1), LambertSpec("DL3", 1))]
+        assert (partner, ratio, result) == (LambertSpec("LAM", 2, 1), 6, LambertSpec("DL3", 1))
         # oracle equivalence to 50 terms
         lhs = expand_lambert(LambertSpec("LAM4", 2, 1), 50) * 6 + expand_lambert(
             LambertSpec("LAM", 2, 1), 50
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
 
-    def test_cube_sum_to_e4(self):
-        combo, rule = combo_rules([(1, LambertSpec("DL3", 1))])
-        assert rule == "cube-sum-to-E4-difference"
-        assert isinstance(combo, E4Combo)
-        assert combo.expand(50).agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
-
     def test_wrong_coefficient_not_matched(self):
-        assert combo_rules([(5, LambertSpec("LAM4", 2, 1)), (1, LambertSpec("LAM", 2, 1))]) is None
+        _, ratio, _, _ = pair_rule(LambertSpec("LAM4", 2, 1))
+        assert ratio != 5
+        lhs = expand_lambert(LambertSpec("LAM4", 2, 1), 50) * 5 + expand_lambert(
+            LambertSpec("LAM", 2, 1), 50
+        )
+        assert not lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
 
     def test_scaled_pair(self):
-        out, _ = combo_rules([(12, LambertSpec("LAM4", 6, 3)), (2, LambertSpec("LAM", 6, 3))])
-        assert out == [(F(2), LambertSpec("DL3", 3))]
+        partner, ratio, result, _ = pair_rule(LambertSpec("LAM4", 6, 3))
+        assert (partner, ratio, result) == (LambertSpec("LAM", 6, 3), 6, LambertSpec("DL3", 3))
         lhs = expand_lambert(LambertSpec("LAM4", 6, 3), 60) * 6 + expand_lambert(
             LambertSpec("LAM", 6, 3), 60
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 3), 60))
+
+    def test_cube_sum_to_e4(self):
+        combo, rule = reduce_atom(LambertSpec("DL3", 1))
+        assert rule == "cube-sum-to-E4-difference"
+        assert isinstance(combo, E4Combo)
+        assert combo.expand(50).agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
+
+
+class TestPairRule:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_holds_for_random_scale(self, seed):
+        b = random.Random(seed).randint(1, 12)
+        partner, ratio, result, _ = pair_rule(LambertSpec("LAM4", 2 * b, b))
+        lhs = expand_lambert(LambertSpec("LAM4", 2 * b, b), 60) * ratio + expand_lambert(
+            partner, 60
+        )
+        assert lhs.agrees_with(expand_lambert(result, 60))
+        wrong = lhs + expand_lambert(LambertSpec("LAM4", 2 * b, b), 60)
+        assert not wrong.agrees_with(expand_lambert(result, 60))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LambertSpec("LAM4", 3, 1), LambertSpec("LAM4", 4, 1), LambertSpec("LAM", 2, 1),
+         LambertSpec("DL3", 1), LambertSpec("E4", 2)],
+        ids=str,
+    )
+    def test_unregistered_returns_none(self, spec):
+        assert pair_rule(spec) is None
+
+
+def _random_atoms(seed):
+    rng = random.Random(seed)
+    a, b, m = rng.randint(1, 9), rng.randint(1, 6), rng.randint(1, 6)
+    return [
+        LambertSpec("LAM", a, 0),
+        LambertSpec("LAM", 2 * b, b),
+        LambertSpec("SODD", m),
+        LambertSpec("E2", m),
+        LambertSpec("E4", m),
+        LambertSpec("DL3", m),
+    ]
+
+
+class TestReduceAtom:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_combination_expands_to_the_atom(self, seed):
+        for spec in _random_atoms(seed):
+            combo, _ = reduce_atom(spec)
+            assert combo.expand(60).agrees_with(expand_lambert(spec, 60)), spec
+
+    @pytest.mark.parametrize(
+        "spec,citation",
+        [
+            (LambertSpec("DL3", 3), "cube-sum-to-E4-difference"),
+            (LambertSpec("E4", 2), "E4(2) -> E4 combination"),
+            (LambertSpec("E2", 5), "E2(5) -> E2 combination"),
+            (LambertSpec("LAM", 4, 0), "lam(4,0) -> E2 combination"),
+            (LambertSpec("LAM", 6, 3), "lam(6,3) -> E2 combination"),
+            (LambertSpec("SODD", 1), "sodd() -> E2 combination"),
+            (LambertSpec("SODD", 2), "sodd@2 -> E2 combination"),
+        ],
+        ids=str,
+    )
+    def test_citation(self, spec, citation):
+        assert reduce_atom(spec)[1] == citation
+
+    def test_e2_section_is_reduce_to_e2(self):
+        for spec in REDUCIBLE:
+            assert reduce_atom(spec)[0] == reduce_to_e2(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LambertSpec("LAM", 3, 1), LambertSpec("LAM4", 3, 1), LambertSpec("LAM4", 2, 1)],
+        ids=str,
+    )
+    def test_unregistered_returns_none(self, spec):
+        # LAM4(2,1) reduces only together with its pair partner.
+        assert reduce_atom(spec) is None
+
+
+class TestCombinations:
+    def test_e4_describe(self):
+        combo = E4Combo.make({1: F(1, 240), 2: F(-1, 240)})
+        assert combo.describe() == "(1/240*E4(1z) + -1/240*E4(2z))"
+        assert E2Combo.make({2: 1}, F(1, 24)).describe() == "(1/24 + 1*E2(2z))"
+
+    def test_weights_never_equal(self):
+        e2, e4 = E2Combo.make({1: 1, 2: -1}), E4Combo.make({1: 1, 2: -1})
+        assert e2.terms == e4.terms
+        assert e2 != e4 and len({e2, e4}) == 2
+        assert not isinstance(e4, E2Combo) and not isinstance(e2, E4Combo)
+
+    def test_scale_must_be_positive(self):
+        for cls in (E2Combo, E4Combo):
+            with pytest.raises(ValueError):
+                cls.make({0: 1})
+
+    def test_shared_arithmetic(self):
+        e4 = E4Combo.make({1: F(1, 240), 2: F(-1, 240)})
+        assert (e4 * 240).scaled(3) == E4Combo.make({3: 1, 6: -1})
+        assert (e4 * 0).terms == ()
+        e2 = 2 * E2Combo.make({1: -1}, F(1, 24))
+        assert e2 == E2Combo.make({1: -2}, F(1, 12))
+        assert e2.scaled(2).constant == F(1, 12) and e2.level == 1
 
 
 class TestEisensteinAnchor:

@@ -8,7 +8,7 @@ import piq
 import piq.verify as verify_module
 from piq.etaq import PiMonomial
 from piq.ident import SqrtAtom, Term, parse_identity
-from piq.quasimod import E2Combo, E4Combo
+from piq.quasimod import E2Combo, E4Combo, LambertSpec
 from piq.series import ScaledSeries as S
 from piq.verify import (
     _pi_series,
@@ -39,17 +39,17 @@ class TestSturmBound:
 class TestRootMatch:
     def test_equal(self):
         s = S.from_terms({0: 1, 1: 1}, 5)
-        assert root_match(s, s, 2)
+        assert root_match(s, s)
 
     def test_opposite_branch(self):
         s = S.from_terms({0: 1, 1: 1}, 5)
-        assert not root_match(s, -s, 2)
+        assert not root_match(s, -s)
 
     def test_l12_3_sides(self):
         rec = next(r for r in piq.load_corpus() if r.id == "L12-3")
         lhs = piq.evaluate_to_bound(rec.lhs, F(9, 4))
         rhs = piq.evaluate_to_bound(rec.rhs, F(9, 4))
-        assert root_match(lhs, rhs, 2)
+        assert root_match(lhs, rhs)
         assert lhs.leading_coefficient() > 0
 
 
@@ -239,6 +239,28 @@ class TestE4Atoms:
         rep = prove(parse_identity("dl3() = 1/241*E4(1) - 1/240*E4(2)", id="e4m"))
         assert rep.verdict == "REFUTED"
         assert rep.mismatch[0] == 0
+
+
+class TestPairRuleInEngine:
+    @staticmethod
+    def _terms(c4, c2, scale=1):
+        one = PiMonomial.one()
+        return [
+            Term(F(c4), one, (LambertSpec("LAM4", 2 * scale, scale),)),
+            Term(F(c2), one, (LambertSpec("LAM", 2 * scale, scale),)),
+        ]
+
+    def test_collapses_at_ratio_6_with_partner_coefficient(self):
+        cites = []
+        out = verify_module._apply_pair_rule(self._terms(12, 2, 3), cites)
+        assert out == [Term(F(2), PiMonomial.one(), (LambertSpec("DL3", 3),))]
+        assert cites == ["lam4-pair-to-cube-sum"]
+
+    def test_wrong_ratio_left_alone(self):
+        cites = []
+        terms = self._terms(5, 1)
+        assert verify_module._apply_pair_rule(terms, cites) == terms
+        assert cites == []
 
 
 class TestProvenSoundnessSpotChecks:
