@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Subcommands: verify (corpus proof sweep), expand (q-expansion of a DSL
-expression), discover (relation mining), haupt (rational-function fit),
-cusps (canonical cusp list), sturm (coefficient bound).
+Subcommands: verify (corpus proof sweep, one record after another in this
+process), expand (q-expansion of a DSL expression), discover (relation
+mining), haupt (rational-function fit), cusps (canonical cusp list), sturm
+(coefficient bound).
 
 Exit codes: 0 success, 1 mathematical failure (refuted or uncertified),
-2 usage or parse error.  The environment variable PIQ_MAX_TERMS caps the
-coefficient count of ``verify --mode check`` (its --terms) and of ``expand``;
-proof mode always compares up to the Sturm bound, whatever its value.
+2 usage or parse error: an unknown flag, a number flag out of range, or DSL
+or corpus text that does not parse, including an out-of-domain argument such
+as pi(0) and a corpus field other than id, source, dsl and hint.mode.
+
+The environment variable PIQ_MAX_TERMS caps the coefficient count of
+``verify --mode check`` (its --terms) and of ``expand``; proof mode always
+compares up to the Sturm bound, whatever its value.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import ParseError, PiqError
 from .etaq import cusps
 from .ident import (
+    MODES,
     Add,
     IdentityRecord,
     Mul,
@@ -76,14 +81,6 @@ def _load_records(args) -> list[IdentityRecord]:
         return parse_corpus(fh.read())
 
 
-def _run_one(payload):
-    rec, mode, terms, max_coefficients = payload
-    mode = rec.hints.mode or mode
-    if mode == "check":
-        return check(rec, terms)
-    return prove(rec, ProveConfig(max_coefficients=max_coefficients))
-
-
 def _report_text(rep: ProofReport, verbose: bool) -> str:
     bits = [f"{rep.id}: {rep.verdict}"]
     if rep.verdict in ("PROVEN", "REFUTED"):
@@ -130,12 +127,11 @@ def cmd_verify(args) -> int:
     terms = args.terms
     if cap is not None:
         terms = min(terms, cap)
-    payloads = [(rec, args.mode, terms, args.max_coefficients) for rec in records]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_one, payloads))
-    else:
-        reports = [_run_one(p) for p in payloads]
+    config = ProveConfig(max_coefficients=args.max_coefficients)
+    reports = [
+        check(rec, terms) if (rec.hints.mode or args.mode) == "check" else prove(rec, config)
+        for rec in records
+    ]
     if args.report == "tsv":
         print(TSV_VERSION)
         print(TSV_HEADER)
@@ -266,22 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("corpus", nargs="?", help="corpus file path")
     v.add_argument("--dsl", help="inline identity instead of a corpus file")
     v.add_argument("--id", action="append", help="restrict to the given record id(s)")
-    v.add_argument("--mode", choices=["proof", "check"], default="proof")
+    v.add_argument("--mode", choices=MODES, default="proof")
     v.add_argument("--terms", type=_int_at_least(1), default=100, help="check-mode coefficient window")
     v.add_argument("--report", choices=["text", "tsv"], default="text")
-    v.add_argument("--max-coefficients", type=int, default=2000)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--max-coefficients", type=_int_at_least(1), default=2000)
     v.add_argument("--verbose", "-v", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("expand", help="print exponent/coefficient pairs of an expression")
     e.add_argument("dsl")
-    e.add_argument("--terms", type=int, default=10)
+    e.add_argument("--terms", type=_int_at_least(1), default=10)
     e.set_defaults(func=cmd_expand)
 
     d = sub.add_parser("discover", help="mine certified monomial relations")
     d.add_argument("indices", help="comma-separated Pi indices, e.g. 1,2,3,6")
-    d.add_argument("--max-degree", type=int, default=6)
+    d.add_argument("--max-degree", type=_int_at_least(1), default=6)
     d.add_argument("--report", choices=["text", "tsv"], default="text")
     d.set_defaults(func=cmd_discover)
 
@@ -289,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--level", type=_int_at_least(1), required=True)
     h.add_argument("--target", required=True)
     h.add_argument("--haupt", required=True)
-    h.add_argument("--max-degree", type=int, default=8)
+    h.add_argument("--max-degree", type=_int_at_least(0), default=8)
     h.set_defaults(func=cmd_haupt)
 
     c = sub.add_parser("cusps", help="list canonical cusp representatives of Gamma_0(N)")

@@ -45,10 +45,6 @@ class Unbounded(PiqError):
     """The a-priori degree bound does not apply (fewer than three indices)."""
 
 
-class SemanticError(PiqError):
-    """Structurally valid DSL input with out-of-domain arguments."""
-
-
 class ParseError(PiqError):
     """DSL syntax error with source position information."""
 
@@ -58,3 +54,8 @@ class ParseError(PiqError):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
+
+
+class SemanticError(ParseError):
+    """Structurally valid DSL input with out-of-domain arguments, at the
+    offending token."""

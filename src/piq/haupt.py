@@ -36,7 +36,7 @@ from .ident import (
     parse_expression,
     to_dsl,
 )
-from .verify import ProofReport, ProveConfig, prove
+from .verify import ProofReport, prove
 from .linalg import kernel_basis, series_window_matrix
 
 # Levels at which Gamma_0(N) has genus zero, hence admits a hauptmodul.
@@ -206,7 +206,6 @@ def fit_rational(
     h: Expr,
     level: int,
     max_degree: int = 8,
-    config: ProveConfig | None = None,
 ) -> HauptFit:
     """Express a weight-0 expression as a certified rational function of h.
 
@@ -233,7 +232,7 @@ def fit_rational(
             deg_q = total - deg_p
             if deg_q > max_degree:
                 continue
-            fit = _try_fit(target, h, level, deg_p, deg_q, config, expansions)
+            fit = _try_fit(target, h, level, deg_p, deg_q, expansions)
             if fit is not None:
                 return fit
     raise NoFitWithinBounds(
@@ -241,7 +240,7 @@ def fit_rational(
     )
 
 
-def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptFit | None:
+def _try_fit(target, h, level, deg_p, deg_q, expansions: dict) -> HauptFit | None:
     def expand(i, min_bound):
         key = (i, min_bound)
         if key not in expansions:
@@ -280,7 +279,7 @@ def _try_fit(target, h, level, deg_p, deg_q, config, expansions: dict) -> HauptF
             lhs=Mul((target, _poly_expr(q_poly, h))),
             rhs=_poly_expr(p_poly, h),
         )
-        report = prove(rec, config)
+        report = prove(rec)
         if report.verdict != "PROVEN":
             return None
         return HauptFit(

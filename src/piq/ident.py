@@ -92,8 +92,6 @@ Expr = Union[Const, Pi, Sqrt, Lambert, Subst, Neg, Add, Mul, Pow]
 
 @dataclass(frozen=True)
 class Hints:
-    subst: Optional[int] = None
-    clear: Optional[str] = None
     mode: Optional[str] = None
 
 
@@ -276,9 +274,10 @@ class _Parser:
         # operands is handled by the term parser.
         if self.toks.peek()[0] == "/" and self.toks.peek(1)[0] == "NUM":
             self.toks.next()
+            _, _, line, col = self.toks.peek()
             den = int(self.expect("NUM"))
-        if den == 0:
-            raise SemanticError("zero denominator in rational literal")
+            if den == 0:
+                raise SemanticError("zero denominator in rational literal", line, col)
         return Fraction(sign * num, den)
 
     def parse_int(self) -> int:
@@ -287,6 +286,13 @@ class _Parser:
             self.toks.next()
             sign = -1
         return sign * int(self.expect("NUM"))
+
+    def parse_int_at_least(self, low: int, what: str) -> int:
+        _, _, line, col = self.toks.peek()
+        n = self.parse_int()
+        if n < low:
+            raise SemanticError(f"{what} must be >= {low}, got {n}", line, col)
+        return n
 
     def parse_atom(self) -> Expr:
         kind, lex, line, col = self.toks.peek()
@@ -303,21 +309,14 @@ class _Parser:
                 ["NUM", "NAME", "("],
             )
         self.toks.next()
-        name = lex
         self.expect("(")
-        try:
-            node = self._finish_call(name)
-        except ValueError as exc:
-            raise SemanticError(f"{line}:{col}: {exc}") from exc
+        node = self._finish_call(lex, line, col)
         self.expect(")")
         return node
 
-    def _finish_call(self, name: str) -> Expr:
+    def _finish_call(self, name: str, line: int, col: int) -> Expr:
         if name == "pi":
-            n = self.parse_int()
-            if n < 1:
-                raise SemanticError(f"pi index must be >= 1, got {n}")
-            return Pi(n)
+            return Pi(self.parse_int_at_least(1, "pi index"))
         if name == "sqrt":
             return Sqrt(self.parse_expr())
         if name in ("lam", "lam4"):
@@ -325,24 +324,18 @@ class _Parser:
             self.expect(",")
             b = self.parse_int()
             if not 0 <= b < a:
-                raise SemanticError(f"{name}({a},{b}) requires 0 <= b < a")
+                raise SemanticError(f"{name}({a},{b}) requires 0 <= b < a", line, col)
             return Lambert(LambertSpec("LAM" if name == "lam" else "LAM4", a, b))
         if name == "dl3":
             return Lambert(LambertSpec("DL3", 1))
         if name == "sodd":
             return Lambert(LambertSpec("SODD", 1))
         if name in ("E2", "E4"):
-            m = self.parse_int()
-            if m < 1:
-                raise SemanticError(f"{name} scale must be >= 1, got {m}")
-            return Lambert(LambertSpec(name, m))
+            return Lambert(LambertSpec(name, self.parse_int_at_least(1, f"{name} scale")))
         if name == "subst":
             e = self.parse_expr()
             self.expect(",")
-            j = self.parse_int()
-            if j < 1:
-                raise SemanticError(f"subst exponent must be >= 1, got {j}")
-            return Subst(e, j)
+            return Subst(e, self.parse_int_at_least(1, "subst exponent"))
         self.fail(f"unknown function {name!r}", ["pi", "sqrt", "lam", "lam4", "dl3", "sodd", "E2", "E4", "subst"])
 
 
@@ -368,49 +361,43 @@ parse = parse_identity
 # ---------------------------------------------------------------------------
 
 CORPUS_HEADER = "piqdsl 1"
+CORPUS_FIELDS = ("id", "source", "dsl", "hint.mode")
+MODES = ("proof", "check")
 
 
 def parse_corpus(text: str) -> list[IdentityRecord]:
-    """Read the line-oriented corpus format (blank-line separated records)."""
+    """Read the line-oriented corpus format (blank-line separated records).
+
+    A record has the fields of ``CORPUS_FIELDS``, each at most once; any other
+    field name is a parse error.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CORPUS_HEADER:
         raise ParseError(f"missing corpus header {CORPUS_HEADER!r}", 1, 1, [CORPUS_HEADER])
     records = []
     fields: dict[str, str] = {}
-    spots: dict[str, tuple[int, int]] = {}  # field -> (line, column) of its value
+    dsl_spot = (0, 0)  # (line, column) of the dsl value
 
     def flush(at_line: int):
-        nonlocal fields, spots
+        nonlocal fields
         if not fields:
             return
         missing = [k for k in ("id", "dsl") if k not in fields]
         if missing:
             raise ParseError(f"record missing field(s) {missing}", at_line, 1)
-        subst = fields.get("hint.subst")
-        if subst is not None and not (subst.isascii() and subst.isdigit() and int(subst) >= 1):
-            raise ParseError(
-                f"hint.subst must be an integer >= 1, not {subst!r}",
-                *spots["hint.subst"],
-                ["integer >= 1"],
-            )
-        hints = Hints(
-            subst=int(subst) if subst is not None else None,
-            clear=fields.get("hint.clear"),
-            mode=fields.get("hint.mode"),
-        )
         try:
             rec = parse_identity(
-                fields["dsl"], id=fields["id"], source=fields.get("source", ""), hints=hints
+                fields["dsl"], id=fields["id"], source=fields.get("source", ""),
+                hints=Hints(mode=fields.get("hint.mode")),
             )
         except ParseError as exc:
             # The DSL value is one line: place the error at its column there.
-            dsl_line, dsl_column = spots["dsl"]
             raise ParseError(
                 f"in record {fields['id']!r}: {exc.message}",
-                dsl_line, dsl_column + exc.column - 1, exc.expected,
+                dsl_spot[0], dsl_spot[1] + exc.column - 1, exc.expected,
             ) from exc
         records.append(rec)
-        fields, spots = {}, {}
+        fields = {}
 
     for i, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip()
@@ -420,10 +407,24 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
         if line.lstrip().startswith("#"):
             continue
         if ":" not in line:
-            raise ParseError("expected 'field: value'", i, 1, ["id:", "source:", "dsl:"])
+            raise ParseError("expected 'field: value'", i, 1, [f"{k}:" for k in CORPUS_FIELDS])
         key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-        spots[key.strip()] = (i, len(line) - len(value.lstrip()) + 1)
+        key, column = key.strip(), len(line) - len(value.lstrip()) + 1
+        if key not in CORPUS_FIELDS:
+            raise ParseError(
+                f"unknown field {key!r}; a record has only {', '.join(CORPUS_FIELDS)}",
+                i, 1, CORPUS_FIELDS,
+            )
+        if key in fields:
+            raise ParseError(f"repeated field {key!r}", i, 1)
+        if key == "hint.mode" and value.strip() not in MODES:
+            raise ParseError(
+                f"hint.mode must be one of {', '.join(MODES)}, not {value.strip()!r}",
+                i, column, MODES,
+            )
+        if key == "dsl":
+            dsl_spot = (i, column)
+        fields[key] = value.strip()
     flush(len(lines) + 1)
     seen = set()
     for rec in records:
@@ -824,13 +825,12 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
     raise NotPolynomializable(f"unsupported fractional exponent {e}")
 
 
-def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> PiMonomial:
+def net_clearing_monomial(terms: Iterable[Term]) -> PiMonomial:
     """Monomial multiplier making every exponent nonnegative with no common factor.
 
-    Negative per-variable minima are lifted to zero; with ``cancel_common``
-    positive per-variable minima shared by all terms are cancelled away, so
-    the cleared sum is the least monomial multiple of the input with
-    nonnegative exponents.
+    Negative per-variable minima are lifted to zero and positive ones shared
+    by all terms are cancelled away, so the cleared sum is the least monomial
+    multiple of the input with nonnegative exponents.
     """
     mins: dict[int, int] = {}  # n -> least 2k
     first = True
@@ -845,8 +845,6 @@ def net_clearing_monomial(terms: Iterable[Term], cancel_common: bool = True) -> 
             for n, h in exps.items():
                 if n not in mins:
                     mins[n] = min(h, 0)
-    if not cancel_common:
-        mins = {n: h for n, h in mins.items() if h < 0}
     return PiMonomial(tuple(sorted((n, -h) for n, h in mins.items() if h)))
 
 

@@ -55,15 +55,12 @@ from .ident import (
     build_sides,
     evaluate,
     net_clearing_monomial,
-    parse_expression,
     ts_add,
     ts_make,
     ts_mul,
     ts_neg,
     ts_subst,
-    _build,
     _key,
-    _single_pi_term,
 )
 from .quasimod import E2Combo, is_modular_combo, pair_rule, reduce_atom
 from .series import INF, ScaledSeries, _frac
@@ -385,10 +382,6 @@ def prove(rec: IdentityRecord, config: ProveConfig | None = None) -> ProofReport
 
 def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     lhs_t, rhs_t = build_sides(rec)
-    if rec.hints.clear:
-        mt = (Term(Fraction(1), _parse_clear_hint(rec.hints.clear)),)
-        lhs_t, rhs_t = ts_mul(lhs_t, mt), ts_mul(rhs_t, mt)
-
     if not ts_add(lhs_t, ts_neg(rhs_t)):
         return ProofReport(
             id=rec.id,
@@ -435,8 +428,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
             squared = True
             citations.append("one squaring round (radical elimination)")
 
-    # A record carrying an explicit clearing hint keeps its common factors.
-    net_clear = net_clearing_monomial(lhs + rhs, cancel_common=not rec.hints.clear)
+    net_clear = net_clearing_monomial(lhs + rhs)
     clearing = net_clear if net_clear.halves else None
     if clearing is not None:
         mult = (Term(Fraction(1), net_clear),)
@@ -453,9 +445,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         if t.pi.weight.denominator != 1:
             raise _Uncertifiable(f"half-integral Pi weight in term {t.describe()}")
     residue = _common_residue(diff)
-    m = rec.hints.subst or 4 // math.gcd(residue, 4)
-    if (residue * m) % 4 != 0:
-        raise _Uncertifiable(f"substitution hint {m} does not clear residue {residue}")
+    m = 4 // math.gcd(residue, 4)
     lhs, rhs, diff = ts_subst(lhs, m), ts_subst(rhs, m), ts_subst(diff, m)
 
     indices = sorted({n for t in diff for n in t.pi.indices()})
@@ -575,15 +565,6 @@ def _check_root_branch(root_pair):
     cl = f.coefficient(e) if e is not None else Fraction(0)
     cr = g.coefficient(e) if e is not None else Fraction(0)
     return False, (e, cl, cr)
-
-
-def _parse_clear_hint(text: str) -> PiMonomial:
-    expr = parse_expression(text)
-    frac = _build(expr)
-    mono = _single_pi_term(frac)
-    if mono is None or mono.coef != 1:
-        raise _Uncertifiable(f"clear hint {text!r} is not a Pi monomial")
-    return mono.pi
 
 
 def check(rec: IdentityRecord, terms: int) -> ProofReport:

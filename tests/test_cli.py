@@ -99,8 +99,18 @@ class TestVerify:
             (("cusps", "--level", "0"), "argument --level: must be >= 1, got 0"),
             (("haupt", "--level", "11", "--target", "pi(1)", "--haupt", "pi(2)"),
              "usage error: Gamma_0(11) does not have genus zero"),
+            (("expand", "pi(1)", "--terms", "0"), "argument --terms: must be >= 1, got 0"),
+            (("expand", "pi(1)", "--terms", "-3"), "argument --terms: must be >= 1, got -3"),
+            (("verify", "--dsl", "1 = 1", "--max-coefficients", "-5"),
+             "argument --max-coefficients: must be >= 1, got -5"),
+            (("discover", "1,2,3", "--max-degree", "0"),
+             "argument --max-degree: must be >= 1, got 0"),
+            (("haupt", "--level", "12", "--target", "pi(3)^2/pi(1)^2", "--haupt", "pi(2)/pi(6)",
+              "--max-degree", "-1"), "argument --max-degree: must be >= 0, got -1"),
         ],
-        ids=["terms", "sturm-level", "sturm-weight", "cusps-level", "haupt-genus"],
+        ids=["terms", "sturm-level", "sturm-weight", "cusps-level", "haupt-genus",
+             "expand-terms-0", "expand-terms-neg", "max-coefficients", "discover-degree",
+             "haupt-degree"],
     )
     def test_out_of_range_number_exit_2(self, capsys, argv, message):
         try:
@@ -120,7 +130,56 @@ class TestVerify:
         )
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2 and out == ""
-        assert err.startswith("parse error: 5:13: hint.subst")
+        assert err == (
+            "parse error: 5:1: unknown field 'hint.subst'; "
+            "a record has only id, source, dsl, hint.mode\n"
+        )
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("hint.subst: 4", "5:1: unknown field 'hint.subst'"),
+            ("hint.clear: pi(1)", "5:1: unknown field 'hint.clear'"),
+            ("note: x", "5:1: unknown field 'note'"),
+            ("dsl: pi(1) = 2", "5:1: repeated field 'dsl'"),
+            ("hint.mode: chek", "5:12: hint.mode must be one of proof, check, not 'chek'"),
+        ],
+    )
+    def test_bad_record_field_exit_2(self, tmp_path, capsys, extra, message):
+        bad = tmp_path / "bad.piq"
+        bad.write_text(
+            "piqdsl 1\n\nid: L12-1\n"
+            f"dsl: pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2\n{extra}\n"
+        )
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "dsl,message",
+        [
+            ("pi(0) = 1", "1:4: pi index must be >= 1, got 0"),
+            ("E2(0) = 1", "1:4: E2 scale must be >= 1, got 0"),
+            ("lam(1,3) = 1", "1:1: lam(1,3) requires 0 <= b < a"),
+        ],
+    )
+    def test_semantic_error_exit_2(self, capsys, dsl, message):
+        code, out, err = run(capsys, "verify", "--dsl", dsl)
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+    def test_semantic_error_in_corpus_at_file_position(self, tmp_path, capsys):
+        bad = tmp_path / "bad.piq"
+        bad.write_text("piqdsl 1\n\nid: X\nsource: s\ndsl: pi(0) = 1\n")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "parse error: 5:9: in record 'X': pi index must be >= 1, got 0\n"
+
+    def test_deleted_jobs_flag_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", piq.corpus_path(), "--jobs", "2"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --jobs 2")
         assert "Traceback" not in err
 
     def test_unknown_id_exit_2(self, capsys):
@@ -143,12 +202,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", piq.corpus_path(), "--id", "L8-1", "--verbose")
         assert code == 0
         assert "term" in out and "orders" in out
-
-    def test_jobs_parallel_matches_serial(self, capsys):
-        args = ["verify", piq.corpus_path(), "--id", "L8-1", "--id", "L12-1", "--id", "L12-2", "--report", "tsv"]
-        _, serial, _ = run(capsys, *args)
-        _, parallel, _ = run(capsys, *(args + ["--jobs", "2"]))
-        assert serial == parallel
 
 
 class TestDiscoverCmd:

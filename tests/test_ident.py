@@ -64,6 +64,22 @@ class TestParse:
         with pytest.raises(SemanticError):
             parse_identity("subst(pi(1), 0) = 1")
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("pi(0) = 1", 1, 4, "pi index must be >= 1, got 0"),
+            ("1 = E4(-2)", 1, 8, "E4 scale must be >= 1, got -2"),
+            ("1 =\n lam(1,3)", 2, 2, "lam(1,3) requires 0 <= b < a"),
+            ("subst(pi(1), 0) = 1", 1, 14, "subst exponent must be >= 1, got 0"),
+            ("pi(1)^3/0 = 1", 1, 9, "zero denominator in rational literal"),
+        ],
+    )
+    def test_semantic_error_is_a_positioned_parse_error(self, text, line, column, message):
+        with pytest.raises(ParseError) as info:
+            parse_identity(text)
+        assert isinstance(info.value, SemanticError)
+        assert (info.value.line, info.value.column, info.value.message) == (line, column, message)
+
     def test_parse_error_position_and_expected(self):
         with pytest.raises(ParseError) as info:
             parse_identity("pi(2 = 1")
@@ -127,29 +143,58 @@ class TestCorpusFile:
             parse_corpus(text)
 
     def test_hints_parsed(self):
-        text = "piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\nhint.subst: 2\nhint.mode: check\n"
+        text = "piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\nhint.mode: check\n"
         rec = parse_corpus(text)[0]
-        assert rec.hints.subst == 2 and rec.hints.mode == "check"
+        assert rec.hints.mode == "check"
 
-    @pytest.mark.parametrize("value", ["-4", "0", "four"])
-    def test_bad_subst_hint_rejected_at_its_field(self, value):
+    @staticmethod
+    def _assert_unknown_field_at_line_5(field):
         text = (
             "piqdsl 1\n\nid: L12-1\n"
             "dsl: pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2\n"
-            f"hint.subst: {value}\n"
+            f"{field}\n"
         )
         with pytest.raises(ParseError) as info:
             parse_corpus(text)
-        assert (info.value.line, info.value.column) == (5, 13)
-        assert "hint.subst" in str(info.value)
+        name = field.partition(":")[0]
+        assert (info.value.line, info.value.column) == (5, 1)
+        assert info.value.message == (
+            f"unknown field {name!r}; a record has only id, source, dsl, hint.mode"
+        )
+
+    @pytest.mark.parametrize("value", ["-4", "0", "four"])
+    def test_bad_subst_hint_rejected_at_its_field(self, value):
+        # hint.subst is no longer a field: m is always derived from the residue.
+        self._assert_unknown_field_at_line_5(f"hint.subst: {value}")
+
+    @pytest.mark.parametrize("field", ["hint.subst: 4", "hint.clear: pi(1)", "note: hello"])
+    def test_unknown_field_rejected_at_its_line(self, field):
+        self._assert_unknown_field_at_line_5(field)
+
+    @pytest.mark.parametrize("field", ["id: B", "source: u", "dsl: pi(1) = 2", "hint.mode: proof"])
+    def test_repeated_field_rejected(self, field):
+        text = f"piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\nhint.mode: check\n{field}\n"
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert (info.value.line, info.value.column) == (7, 1)
+        assert info.value.message == f"repeated field {field.partition(':')[0]!r}"
+
+    @pytest.mark.parametrize("value,column", [("chek", 13), ("Proof", 13), ("", 11)])
+    def test_bad_mode_rejected_at_its_value(self, value, column):
+        text = f"piqdsl 1\n\nid: A\ndsl: 1 = 1\nhint.mode:  {value}\n"
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert (info.value.line, info.value.column) == (5, column)
+        assert "hint.mode must be one of proof, check" in info.value.message
 
     @pytest.mark.parametrize(
         "dsl_line,line,column,message",
         [
             ("dsl: pi(1 = 2", 5, 11, "expected ')' but found '='"),
             ("dsl:   pi(1", 5, 12, "expected ')' but found 'end of input'"),
+            ("dsl: pi(2) = pi(0)", 5, 17, "pi index must be >= 1, got 0"),
         ],
-        ids=["one-line", "end-of-input"],
+        ids=["one-line", "end-of-input", "semantic"],
     )
     def test_dsl_error_at_its_file_position(self, dsl_line, line, column, message):
         text = f"piqdsl 1\n\nid: X\nsource: s\n{dsl_line}\n\nid: Y\ndsl: 1 = 1\n"

@@ -106,30 +106,6 @@ class TestProve:
         rep3 = prove(parse_identity("lam(3,2) + pi(1)*pi(3) = lam(3,1)", id="irred"))
         assert rep3.verdict == "REFUTED"
 
-    def test_subst_hint_respected(self):
-        from piq.ident import Hints
-
-        # The corpus record L12-1, proved with and without a substitution hint.
-        rec = parse_identity("pi(2)^2 + 2*pi(2)*pi(6) = pi(1)*pi(3) + 3*pi(6)^2", id="L12-1")
-        base = prove(rec)
-        assert base.verdict == "PROVEN"
-        assert (base.subst_exponent, base.level) == (1, 12)
-        hinted = prove(type(rec)(rec.id, rec.source, rec.lhs, rec.rhs, Hints(subst=4)))
-        assert hinted.verdict == "PROVEN"
-        assert (hinted.subst_exponent, hinted.level, hinted.sturm_bound) == (4, 48, 17)
-
-    def test_clear_hint_changes_certificate_not_verdict(self):
-        from piq.ident import Hints
-
-        text = "pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 4"
-        base = prove(parse_identity(text, id="L8-1"))
-        rec = parse_identity(text, id="L8-1h")
-        rec = type(rec)(rec.id, rec.source, rec.lhs, rec.rhs, Hints(clear="pi(2)*pi(4)^3"))
-        hinted = prove(rec)
-        assert base.verdict == hinted.verdict == "PROVEN"
-        assert (base.weight, base.subst_exponent) == (3, 2)
-        assert (hinted.weight, hinted.subst_exponent) == (7, 1)
-
     def test_trivial_identity(self):
         rep = prove(parse_identity("1 = 1", id="one"))
         assert rep.verdict == "PROVEN"
@@ -322,17 +298,21 @@ class TestClearingSearch:
                 assert direct == pi_order_at_cusp(p, c, 24) + pi_order_at_cusp(mono, c, 24)
 
     def test_negative_cusp_order_is_uncertified(self, monkeypatch):
-        # With the clearing monomial disabled, the clear hint leaves the term
-        # Pi[1]^-2 Pi[2]^3, of order -1/2 at the cusp 1/2 of level 4.
+        # Both sides arrive multiplied by Pi[1]^-2 Pi[2]^3.  The clearing
+        # monomial takes that factor off again; without it the term keeps
+        # order -1/2 at the cusp 1/2 of level 4.
         from piq.etaq import Cusp, pi_order_at_cusp
-        from piq.ident import Hints
+        from piq.ident import ts_mul
 
-        assert pi_order_at_cusp(PiMonomial.make({1: -2, 2: 3}), Cusp(1, 2), 4) == F(-1, 2)
-        rec = parse_identity(
-            "sodd() = pi(2)^2", id="sodd-pole", hints=Hints(clear="pi(1)^-2*pi(2)^3")
+        pole = PiMonomial.make({1: -2, 2: 3})
+        assert pi_order_at_cusp(pole, Cusp(1, 2), 4) == F(-1, 2)
+        build, factor = verify_module.build_sides, (Term(F(1), pole),)
+        monkeypatch.setattr(
+            verify_module, "build_sides", lambda rec: tuple(ts_mul(s, factor) for s in build(rec))
         )
+        rec = parse_identity("sodd() = pi(2)^2", id="sodd-pole")
         assert prove(rec).verdict == "PROVEN"
-        monkeypatch.setattr(verify_module, "net_clearing_monomial", lambda *a, **k: PiMonomial.one())
+        monkeypatch.setattr(verify_module, "net_clearing_monomial", lambda terms: PiMonomial.one())
         rep = prove(rec)
         assert rep.verdict == "UNCERTIFIED"
         assert "order -1/2 at cusp 1/2" in rep.detail
