@@ -8,25 +8,19 @@ mining), haupt (rational-function fit), cusps (canonical cusp list), sturm
 Exit codes: 0 success, 1 mathematical failure (refuted or uncertified),
 2 usage or parse error: an unknown flag, a number flag out of range, or DSL
 or corpus text that does not parse, including an out-of-domain argument such
-as pi(0) and a corpus field other than id, source, dsl and hint.mode.
-
-The environment variable PIQ_MAX_TERMS caps the coefficient count of
-``verify --mode check`` (its --terms) and of ``expand``; proof mode always
-compares up to the Sturm bound, whatever its value.
+as pi(0) and a corpus field other than id, source and dsl.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
 from .errors import ParseError, PiqError
 from .etaq import cusps
 from .ident import (
-    MODES,
     Add,
     IdentityRecord,
     Mul,
@@ -47,16 +41,6 @@ EXIT_USAGE = 2
 
 TSV_HEADER = "id\tverdict\tweight\tlevel\tm\tsturm\tchecked"
 TSV_VERSION = "# piq report v1"
-
-
-def _max_terms_cap() -> int | None:
-    raw = os.environ.get("PIQ_MAX_TERMS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
 
 
 def _int_at_least(low: int):
@@ -123,13 +107,9 @@ def cmd_verify(args) -> int:
             print(f"unknown record id(s): {sorted(missing)}", file=sys.stderr)
             return EXIT_USAGE
     records.sort(key=lambda r: r.id)
-    cap = _max_terms_cap()
-    terms = args.terms
-    if cap is not None:
-        terms = min(terms, cap)
     config = ProveConfig(max_coefficients=args.max_coefficients)
     reports = [
-        check(rec, terms) if (rec.hints.mode or args.mode) == "check" else prove(rec, config)
+        check(rec, args.terms) if args.mode == "check" else prove(rec, config)
         for rec in records
     ]
     if args.report == "tsv":
@@ -141,11 +121,7 @@ def cmd_verify(args) -> int:
         for rep in reports:
             print(_report_text(rep, args.verbose))
     good = {"PROVEN"} if args.mode == "proof" else {"PROVEN", "CHECKED"}
-    ok = all(
-        rep.verdict in good or (rep.verdict == "CHECKED" and records[i].hints.mode == "check")
-        for i, rep in enumerate(reports)
-    )
-    return EXIT_OK if ok else EXIT_MATH
+    return EXIT_OK if all(rep.verdict in good for rep in reports) else EXIT_MATH
 
 
 def _stretch(expr) -> int:
@@ -165,10 +141,6 @@ def cmd_expand(args) -> int:
     except (ParseError, PiqError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cap = _max_terms_cap()
-    terms = args.terms
-    if cap is not None:
-        terms = min(terms, cap)
     # Step along the arithmetic progression the series actually lives on:
     # widen the window until two nonzero terms show it, the series is exact,
     # or the window spans eight stretched terms (a zero or constant series).
@@ -184,11 +156,11 @@ def cmd_expand(args) -> int:
             need = 2 * series.bound
         stride = math.gcd(*(n - nums[0] for n in nums[1:]))
         step = Fraction(stride, series.scale) if stride else Fraction(1)
-        series = evaluate_to_bound(expr, start + step * terms)
+        series = evaluate_to_bound(expr, start + step * args.terms)
     except PiqError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH
-    for i in range(terms):
+    for i in range(args.terms):
         e = start + step * i
         c = series.coefficient(e)
         e_str = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
@@ -262,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("corpus", nargs="?", help="corpus file path")
     v.add_argument("--dsl", help="inline identity instead of a corpus file")
     v.add_argument("--id", action="append", help="restrict to the given record id(s)")
-    v.add_argument("--mode", choices=MODES, default="proof")
+    v.add_argument("--mode", choices=["proof", "check"], default="proof")
     v.add_argument("--terms", type=_int_at_least(1), default=100, help="check-mode coefficient window")
     v.add_argument("--report", choices=["text", "tsv"], default="text")
     v.add_argument("--max-coefficients", type=_int_at_least(1), default=2000)

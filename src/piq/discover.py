@@ -4,8 +4,12 @@ For a fixed index set and degree, all monomials Pi_{q^n1}^k1 ... with
 sum k_i = d are grouped by sum(k_i n_i) mod 4 (terms of a valid relation must
 share that residue because of the q^(n/4) prefactors).  Within a class, the
 coefficient matrix over a Sturm-sized window is exact, so a kernel vector is
-already a proof; each surviving relation is nevertheless re-certified through
-the proof engine and carries its report.
+already a proof: the exponents are integers, so every monomial of degree d has
+character discriminant (-1)^d (``PiMonomial.character_disc``), and one
+residue class has one character, one substitution exponent m and one level,
+whose Sturm bound the window of level 8 lcm(indices) covers.  Each surviving
+relation is nevertheless re-certified through the proof engine and carries
+its report.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 from .errors import PiqError, Unbounded
 from .etaq import PiMonomial, index_gamma0
 from .ident import parse_identity
-from .linalg import kernel_basis, series_window_matrix
+from .linalg import kernel_basis, rank, series_window_matrix
 from .verify import ProofReport, _pi_series, prove, sturm_bound
 
 
@@ -114,45 +118,15 @@ def _relation_dsl(monomials: Sequence[PiMonomial], coeffs: Sequence[int]) -> str
     return f"{lhs} = {rhs}"
 
 
-class _RationalSpan:
-    """Incremental row-reduced span for membership tests."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, v: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p] / row[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self._reduce(v))
-
-    def add(self, v: Sequence) -> bool:
-        """Insert if independent; returns True when the vector was new."""
-        red = self._reduce(v)
-        for i, x in enumerate(red):
-            if x != 0:
-                self.rows.append(red)
-                self.pivots.append(i)
-                return True
-        return False
-
-
 def _inherited_span(
     relations: list[DiscoveredRelation],
     indices: tuple[int, ...],
     degree: int,
     residue: int,
     class_monomials: list[PiMonomial],
-) -> _RationalSpan:
-    """Span of (lower-degree relation) x (complementary monomial) products."""
-    span = _RationalSpan(len(class_monomials))
+) -> list[list[int]]:
+    """(Lower-degree relation) x (complementary monomial) products as class vectors."""
+    span = []
     position = {m: i for i, m in enumerate(class_monomials)}
     for rel in relations:
         d_rest = degree - rel.degree
@@ -162,11 +136,11 @@ def _inherited_span(
             mu = PiMonomial.make({n: k for n, k in zip(indices, exps)})
             if (rel.residue_class + int(mu.exponent_weighted_sum)) % 4 != residue:
                 continue
-            vec = [Fraction(0)] * len(class_monomials)
+            vec = [0] * len(class_monomials)
             for mono, c in zip(rel.monomials, rel.coefficients):
                 if c:
-                    vec[position[mono * mu]] = Fraction(c)
-            span.add(vec)
+                    vec[position[mono * mu]] = c
+            span.append(vec)
     return span
 
 
@@ -191,9 +165,12 @@ def mine(query: DiscoveryQuery) -> list[DiscoveredRelation]:
             if not kernel:
                 continue
             span = _inherited_span(relations, query.indices, degree, residue, monomials)
+            span_rank = rank(span)
             for vec in kernel:
-                if not span.add(vec):
+                if rank(span + [vec]) == span_rank:
                     continue
+                span.append(vec)
+                span_rank += 1
                 dsl = _relation_dsl(monomials, vec)
                 rec = parse_identity(
                     dsl, id=f"mined-{'.'.join(map(str, query.indices))}-d{degree}-c{residue}-{len(relations)}"

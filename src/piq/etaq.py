@@ -248,6 +248,19 @@ class PiMonomial:
         """Leading q-exponent: sum k_i n_i / 4."""
         return Fraction(sum(n * h for n, h in self.halves), 8)
 
+    @property
+    def character_disc(self) -> int:
+        """Discriminant of the eta quotient's quadratic character, from integers alone.
+
+        The squarefree kernel of (-1)^k prod n over the indices with odd 2k_n,
+        k the weight; equal to ``modularity_facts(pi_to_eta(self, N)).character_disc``
+        at any level N the monomial lives on.
+        """
+        signed = math.prod(n for n, h in self.halves if h % 2)
+        if sum(h for _, h in self.halves) % 4 == 2:  # odd integral weight
+            signed = -signed
+        return _squarefree_kernel(signed)
+
     def indices(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.halves)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -91,17 +91,11 @@ Expr = Union[Const, Pi, Sqrt, Lambert, Subst, Neg, Add, Mul, Pow]
 
 
 @dataclass(frozen=True)
-class Hints:
-    mode: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class IdentityRecord:
     id: str
     source: str
     lhs: Expr
     rhs: Expr
-    hints: Hints = field(default_factory=Hints)
 
     @property
     def dsl(self) -> str:
@@ -347,9 +341,9 @@ def parse_expression(text: str) -> Expr:
     return _Parser(text).parse_expression_only()
 
 
-def parse_identity(text: str, id: str = "inline", source: str = "", hints: Hints = Hints()) -> IdentityRecord:
+def parse_identity(text: str, id: str = "inline", source: str = "") -> IdentityRecord:
     lhs, rhs = _Parser(text).parse_identity()
-    return IdentityRecord(id=id, source=source, lhs=lhs, rhs=rhs, hints=hints)
+    return IdentityRecord(id=id, source=source, lhs=lhs, rhs=rhs)
 
 
 # The single-identity entry point named in the interface contract.
@@ -361,8 +355,7 @@ parse = parse_identity
 # ---------------------------------------------------------------------------
 
 CORPUS_HEADER = "piqdsl 1"
-CORPUS_FIELDS = ("id", "source", "dsl", "hint.mode")
-MODES = ("proof", "check")
+CORPUS_FIELDS = ("id", "source", "dsl")
 
 
 def parse_corpus(text: str) -> list[IdentityRecord]:
@@ -386,10 +379,7 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
         if missing:
             raise ParseError(f"record missing field(s) {missing}", at_line, 1)
         try:
-            rec = parse_identity(
-                fields["dsl"], id=fields["id"], source=fields.get("source", ""),
-                hints=Hints(mode=fields.get("hint.mode")),
-            )
+            rec = parse_identity(fields["dsl"], id=fields["id"], source=fields.get("source", ""))
         except ParseError as exc:
             # The DSL value is one line: place the error at its column there.
             raise ParseError(
@@ -417,11 +407,6 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
             )
         if key in fields:
             raise ParseError(f"repeated field {key!r}", i, 1)
-        if key == "hint.mode" and value.strip() not in MODES:
-            raise ParseError(
-                f"hint.mode must be one of {', '.join(MODES)}, not {value.strip()!r}",
-                i, column, MODES,
-            )
         if key == "dsl":
             dsl_spot = (i, column)
         fields[key] = value.strip()

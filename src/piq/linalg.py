@@ -1,4 +1,4 @@
-"""Exact rational kernel computation for discovery and hauptmodul fitting."""
+"""Exact rational kernels and ranks for discovery and hauptmodul fitting."""
 
 from __future__ import annotations
 
@@ -57,6 +57,41 @@ def _normalize_vector(v: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
+def _eliminate(a: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of the integer rows ``a``, in place.
+
+    Leaves ``a`` in row echelon form and returns the pivot columns; row i
+    holds the pivot of ``pivot_cols[i]``.
+    """
+    rows = len(a)
+    pivot_cols: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of equally long integer rows (0 for no rows)."""
+    if not rows:
+        return 0
+    return len(_eliminate([list(r) for r in rows], len(rows[0])))
+
+
 def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space by fraction-free (Bareiss) elimination.
 
@@ -69,28 +104,7 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:
     if cols == 0:
         return []
     a = [m.row(i) for i in range(rows)]
-    pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
+    pivot_cols = _eliminate(a, cols)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
     for f in free_cols:

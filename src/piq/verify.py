@@ -29,10 +29,14 @@ The pipeline for :func:`prove`:
     cusp c/s is a nonnegative multiple of gcd(s,2n)^2 - gcd(s,n)^2 >= 0.
     The orders are still checked: a negative one leaves the identity
     uncertified.
-6.  Both sides are expanded and compared coefficient by coefficient up to
-    the Sturm bound floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1.  The shared
-    character is quadratic, and equality of squares reduces that case to the
-    trivial-character bound, so the same bound applies.
+6.  The terms of both sides are grouped by the quadratic character of their
+    Pi part, keyed by ``PiMonomial.character_disc`` (E2 and E4 combinations
+    have trivial character).  As M_k(Gamma_1(N)) is the direct sum of the
+    spaces M_k(N, chi), the identity holds iff every group's two sums agree,
+    and each group's difference lies in one M_k(N, chi), whose Sturm bound
+    is that of Gamma_0(N) (Stein, Cor. 9.19).  Each group's sides are
+    expanded and compared coefficient by coefficient up to
+    floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ class TermFacts:
     weight: Fraction
     cusp_orders: tuple[tuple[str, str], ...]
     combo_levels: tuple[int, ...]
+    character: int  # discriminant D of the character d -> (D/d)
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,7 @@ def _term_facts(terms, cusp_list, level: int, orders) -> tuple[TermFacts, ...]:
     for t in terms:
         row = tuple((c.label(level), str(o)) for c, o in zip(cusp_list, orders[t.pi]))
         combo_levels = tuple(c.level for c in t.lamberts)
-        facts.append(TermFacts(t.describe(), t.weight, row, combo_levels))
+        facts.append(TermFacts(t.describe(), t.weight, row, combo_levels, t.pi.character_disc))
     return tuple(facts)
 
 
@@ -479,23 +484,32 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
             f"Sturm bound {bound} exceeds configured ceiling {cfg.max_coefficients}"
         )
 
-    s_l = rts_series(lhs, bound)
-    s_r = rts_series(rhs, bound)
-    for e in range(bound):
-        cl, cr = s_l.coefficient(e), s_r.coefficient(e)
-        if cl != cr:
-            return ProofReport(
-                id=rec.id,
-                verdict="REFUTED",
-                weight=k,
-                level=level,
-                subst_exponent=m,
-                clearing_multiplier=clearing,
-                sturm_bound=bound,
-                coefficients_compared=e + 1,
-                detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
-                mismatch=(Fraction(e), cl, cr),
-            )
+    groups: dict[int, tuple[list, list]] = {}
+    for side, terms in enumerate((lhs, rhs)):
+        for t in terms:
+            groups.setdefault(t.pi.character_disc, ([], []))[side].append(t)
+    first = None  # (e, cl, cr) of the earliest mismatch; ties keep the smaller disc
+    for disc in sorted(groups):
+        s_l, s_r = (rts_series(ts, bound) for ts in groups[disc])
+        for e in range(bound if first is None else first[0]):
+            cl, cr = s_l.coefficient(e), s_r.coefficient(e)
+            if cl != cr:
+                first = (e, cl, cr)
+                break
+    if first is not None:
+        e, cl, cr = first
+        return ProofReport(
+            id=rec.id,
+            verdict="REFUTED",
+            weight=k,
+            level=level,
+            subst_exponent=m,
+            clearing_multiplier=clearing,
+            sturm_bound=bound,
+            coefficients_compared=e + 1,
+            detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
+            mismatch=(Fraction(e), cl, cr),
+        )
 
     if squared:
         ok, info = _check_root_branch(root_pair)

@@ -7,6 +7,7 @@ lines as they complete.
 import math
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,15 @@ def test_criterion_1_corpus_proof_sweep(corpus, proof_reports):
     assert total < 60.0, f"sweep took {total:.1f}s"
     assert worst < 5.0, f"{worst_id} took {worst:.1f}s"
     _ok(1, f"47 records PROVEN in {total:.1f}s (worst {worst_id} {worst:.2f}s)")
+
+
+def test_corpus_tsv_matches_expected_file(proof_reports):
+    # The benchmark's reference bytes, read only: one tsv_line() per record in id order.
+    reports, _ = proof_reports
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "corpus_prove.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = [line for line in lines if line.strip() and not line.startswith("#")]
+    assert [reports[rid].tsv_line() for rid in sorted(reports)] == want
 
 
 def test_criterion_2_sturm_bounds():
@@ -190,23 +200,24 @@ def test_criterion_5_discovery():
     residue = int(residue.pop())
     class_monos = enumerate_monomials((1, 2, 5, 10), 4)[residue]
     position = {m.exponents: i for i, m in enumerate(class_monos)}
-    target_vec = [F(0)] * len(class_monos)
+    target_vec = [0] * len(class_monos)
     for m, c in target.items():
-        target_vec[position[m.exponents]] = F(c)
+        target_vec[position[m.exponents]] = c
 
-    from piq.discover import _RationalSpan, _compositions
+    from piq.discover import _compositions
+    from piq.linalg import rank
 
-    span = _RationalSpan(len(class_monos))
+    span = []
     for rel in rels20:
         for exps in _compositions(4 - rel.degree, 4) if rel.degree < 4 else [(0, 0, 0, 0)]:
             mu = PiMonomial.make(dict(zip((1, 2, 5, 10), exps)))
             if (rel.residue_class + int(mu.exponent_weighted_sum)) % 4 != residue:
                 continue
-            vec = [F(0)] * len(class_monos)
+            vec = [0] * len(class_monos)
             for mono, c in rel.coefficient_map().items():
-                vec[position[(mono * mu).exponents]] = F(c)
-            span.add(vec)
-    assert span.contains(target_vec), "level-20 relation not in the mined span"
+                vec[position[(mono * mu).exponents]] = c
+            span.append(vec)
+    assert rank(span + [target_vec]) == rank(span), "level-20 relation not in the mined span"
 
     # (c) a-priori degree bound and (d) two indices mine nothing.
     assert gosper_bound(DiscoveryQuery.make((1, 2, 5, 10))) == 3
@@ -268,7 +279,7 @@ def test_criterion_7_mutation_suite(corpus, proof_reports):
             (lhs, rec.rhs) for lhs in _mutate_integer_consts(rec.lhs)
         ] + [(rec.lhs, rhs) for rhs in _mutate_integer_consts(rec.rhs)]
         for lhs, rhs in variants:
-            mutated = type(rec)(f"{rid}-mut", rec.source, lhs, rhs, rec.hints)
+            mutated = type(rec)(f"{rid}-mut", rec.source, lhs, rhs)
             rep = prove(mutated)
             assert rep.verdict == "REFUTED", (rid, mutated.dsl, rep.verdict, rep.detail)
             assert rep.mismatch is not None
@@ -345,7 +356,7 @@ def test_criterion_9_square_root_mechanics(corpus, proof_reports):
         # Negating the radical-carrying side leaves the squared identity
         # untouched, so only the leading-coefficient branch check can fail.
         rec = corpus[rid]
-        flipped = type(rec)(f"{rid}-flip", rec.source, rec.lhs, Neg(rec.rhs), rec.hints)
+        flipped = type(rec)(f"{rid}-flip", rec.source, rec.lhs, Neg(rec.rhs))
         rep_flip = prove(flipped)
         assert rep_flip.verdict == "REFUTED", (rid, rep_flip.verdict, rep_flip.detail)
         assert "leading" in rep_flip.detail, (rid, rep_flip.detail)

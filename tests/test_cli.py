@@ -132,7 +132,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == (
             "parse error: 5:1: unknown field 'hint.subst'; "
-            "a record has only id, source, dsl, hint.mode\n"
+            "a record has only id, source, dsl\n"
         )
 
     @pytest.mark.parametrize(
@@ -142,7 +142,7 @@ class TestVerify:
             ("hint.clear: pi(1)", "5:1: unknown field 'hint.clear'"),
             ("note: x", "5:1: unknown field 'note'"),
             ("dsl: pi(1) = 2", "5:1: repeated field 'dsl'"),
-            ("hint.mode: chek", "5:12: hint.mode must be one of proof, check, not 'chek'"),
+            ("hint.mode: check", "5:1: unknown field 'hint.mode'"),
         ],
     )
     def test_bad_record_field_exit_2(self, tmp_path, capsys, extra, message):
@@ -192,6 +192,14 @@ class TestVerify:
         )
         assert code == 0 and "CHECKED" in out
 
+    def test_mixed_character_identity_refuted_exit_1(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--dsl", "2*pi(8)^2 + pi(4)^2 = pi(2)*pi(4)^1/2*pi(8)^1/2",
+            "--report", "tsv",
+        )
+        assert code == 1
+        assert out.splitlines()[2] == "inline\tREFUTED\t2\t16\t1\t5\t3"
+
     def test_exit_codes_disjoint(self, capsys):
         ok, _, _ = run(capsys, "verify", "--dsl", "1 = 1")
         bad_math, _, _ = run(capsys, "verify", "--dsl", "pi(1)^4 = dl3() + 1")
@@ -232,11 +240,12 @@ class TestHauptCmd:
 
 
 class TestEnvCap:
-    def test_max_terms_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("PIQ_MAX_TERMS", "3")
-        code, out, _ = run(capsys, "expand", "pi(1)", "--terms", "10")
-        assert code == 0
-        assert len(out.splitlines()) == 3
+    def test_max_terms_ignored(self, capsys, monkeypatch):
+        # --terms is the only window setting; the old environment cap is not read.
+        monkeypatch.setenv("PIQ_MAX_TERMS", "0")
+        code, out, err = run(capsys, "verify", "--dsl", "1 = 1", "--mode", "check")
+        assert code == 0 and err == ""
+        assert out == "inline: CHECKED (100 coefficients) -- first 100 coefficients agree\n"
 
     def test_max_terms_does_not_cap_proofs(self, capsys, monkeypatch):
         monkeypatch.setenv("PIQ_MAX_TERMS", "10")

@@ -132,3 +132,12 @@ class TestMine:
             from piq.verify import prove
 
             assert prove(rec).verdict == "PROVEN"
+
+    @pytest.mark.parametrize(
+        "indices,degree", [((1, 2, 3, 6), 2), ((1, 2, 3, 6), 3), ((2, 4, 6, 12), 2)]
+    )
+    def test_relations_have_one_character(self, indices, degree):
+        # Integer exponents of degree d give every monomial disc (-1)^d.
+        for rel in mine(DiscoveryQuery.make(indices, degree)):
+            chars = {tf.character for tf in rel.certificate.certificate.terms}
+            assert chars == {(-1) ** rel.degree}, rel.dsl

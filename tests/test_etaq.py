@@ -156,6 +156,19 @@ class TestOrders:
                 for c in cusps(level):
                     assert pi_order_at_cusp(mono, c, level) == ligozat_value(quotient, c)
 
+    def test_character_disc_matches_modularity_facts(self):
+        rng = random.Random(20261018)
+        seen = 0
+        while seen < 3000:
+            idx = rng.sample(range(1, 25), rng.randint(1, 4))
+            mono = PiMonomial.make({n: F(rng.randint(-7, 7), 2) for n in idx})
+            if mono.weight.denominator != 1 or not mono.halves:
+                continue
+            level = 2 * math.lcm(*mono.indices()) * rng.choice([1, 2, 3])
+            want = modularity_facts(pi_to_eta(mono, level)).character_disc
+            assert mono.character_disc == want, (mono, level)
+            seen += 1
+
     def test_pi_order_needs_indices_dividing_the_level(self):
         with pytest.raises(LevelMismatch):
             pi_order_at_cusp(PiMonomial.make({3: 1}), Cusp(1, 2), 2)

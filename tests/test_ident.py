@@ -142,11 +142,6 @@ class TestCorpusFile:
         with pytest.raises(ParseError):
             parse_corpus(text)
 
-    def test_hints_parsed(self):
-        text = "piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\nhint.mode: check\n"
-        rec = parse_corpus(text)[0]
-        assert rec.hints.mode == "check"
-
     @staticmethod
     def _assert_unknown_field_at_line_5(field):
         text = (
@@ -159,7 +154,7 @@ class TestCorpusFile:
         name = field.partition(":")[0]
         assert (info.value.line, info.value.column) == (5, 1)
         assert info.value.message == (
-            f"unknown field {name!r}; a record has only id, source, dsl, hint.mode"
+            f"unknown field {name!r}; a record has only id, source, dsl"
         )
 
     @pytest.mark.parametrize("value", ["-4", "0", "four"])
@@ -167,25 +162,19 @@ class TestCorpusFile:
         # hint.subst is no longer a field: m is always derived from the residue.
         self._assert_unknown_field_at_line_5(f"hint.subst: {value}")
 
-    @pytest.mark.parametrize("field", ["hint.subst: 4", "hint.clear: pi(1)", "note: hello"])
+    @pytest.mark.parametrize(
+        "field", ["hint.subst: 4", "hint.clear: pi(1)", "hint.mode: check", "note: hello"]
+    )
     def test_unknown_field_rejected_at_its_line(self, field):
         self._assert_unknown_field_at_line_5(field)
 
-    @pytest.mark.parametrize("field", ["id: B", "source: u", "dsl: pi(1) = 2", "hint.mode: proof"])
+    @pytest.mark.parametrize("field", ["id: B", "source: u", "dsl: pi(1) = 2"])
     def test_repeated_field_rejected(self, field):
-        text = f"piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\nhint.mode: check\n{field}\n"
+        text = f"piqdsl 1\n\nid: A\nsource: t\ndsl: 1 = 1\n{field}\n"
         with pytest.raises(ParseError) as info:
             parse_corpus(text)
-        assert (info.value.line, info.value.column) == (7, 1)
+        assert (info.value.line, info.value.column) == (6, 1)
         assert info.value.message == f"repeated field {field.partition(':')[0]!r}"
-
-    @pytest.mark.parametrize("value,column", [("chek", 13), ("Proof", 13), ("", 11)])
-    def test_bad_mode_rejected_at_its_value(self, value, column):
-        text = f"piqdsl 1\n\nid: A\ndsl: 1 = 1\nhint.mode:  {value}\n"
-        with pytest.raises(ParseError) as info:
-            parse_corpus(text)
-        assert (info.value.line, info.value.column) == (5, column)
-        assert "hint.mode must be one of proof, check" in info.value.message
 
     @pytest.mark.parametrize(
         "dsl_line,line,column,message",

@@ -1,13 +1,17 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import piq
 import piq.verify as verify_module
+from piq.discover import _compositions, _relation_dsl
 from piq.etaq import PiMonomial
 from piq.ident import SqrtAtom, Term, parse_identity
+from piq.linalg import kernel_basis, series_window_matrix
 from piq.quasimod import E2Combo, E4Combo, LambertSpec
 from piq.series import ScaledSeries as S
 from piq.verify import (
@@ -473,3 +477,105 @@ class TestRtsSeriesIntegerSum:
             assert _fields(rts_series(tuple(terms), bound)) == _fields(
                 _reference_rts_series(tuple(terms), bound)
             ), (terms, bound)
+
+
+def _half_exponent_classes(indices, degree):
+    """Weight-`degree` monomials with exponents in (1/2)Z>=0 over `indices`, grouped
+    by sum(k n) mod 4; monomials whose sum is not an integer are left out."""
+    out = {}
+    for halves in _compositions(2 * degree, len(indices)):
+        s = sum(h * n for h, n in zip(halves, indices))
+        if s % 2 == 0:
+            mono = PiMonomial.make({n: F(h, 2) for n, h in zip(indices, halves)})
+            out.setdefault(s // 2 % 4, []).append(mono)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _window_kernel(indices, degree, residue):
+    """A class's monomials and the kernel of their coefficients over mine()'s Sturm window."""
+    monos = _half_exponent_classes(indices, degree)[residue]
+    rows = sturm_bound(8 * math.lcm(*indices), degree) + 5
+    base = min(m.valuation for m in monos)
+    columns = [_pi_series(m, base + rows + 1) for m in monos]
+    return monos, kernel_basis(series_window_matrix(columns, rows))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_classes():
+    return [
+        (indices, degree, residue)
+        for indices in ((1, 2, 4, 8), (1, 2, 3, 6))
+        for degree in (1, 2, 3)
+        for residue in sorted(_half_exponent_classes(indices, degree))
+        if _window_kernel(indices, degree, residue)[1]
+    ]
+
+
+class TestCharacterGroups:
+    """Terms of different quadratic characters are compared group by group."""
+
+    MIXED = "2*pi(8)^2 + pi(4)^2 = pi(2)*pi(4)^1/2*pi(8)^1/2"
+
+    def test_mixed_characters_refuted(self):
+        # The lhs terms have disc 1 and the rhs term disc 2, so the disc-1
+        # group compares 2*pi(8)^2 + pi(4)^2 with 0.
+        rep = prove(parse_identity(self.MIXED))
+        assert rep.tsv_line() == "inline\tREFUTED\t2\t16\t1\t5\t3"
+        assert rep.detail == "coefficient mismatch at q^2: 1 vs 0"
+        assert check(parse_identity(self.MIXED), 20).verdict == "REFUTED"
+
+    def test_half_exponent_product_stays_refuted(self):
+        rep = prove(parse_identity("pi(2) = pi(1)^1/2*pi(3)^1/2"))
+        assert rep.verdict == "REFUTED"
+        # Both groups (disc -1 and -3) first differ at q^1; the smaller disc reports.
+        assert rep.detail == "coefficient mismatch at q^1: 0 vs 1"
+
+    def test_window_kernel_relation_with_mixed_characters_refuted(self):
+        dsl = (
+            "8*pi(1)^2*pi(2)^1/2*pi(4)^1/2 + 2*pi(1)*pi(4)*pi(8) + 17*pi(2)^5/2*pi(8)^1/2"
+            " = 8*pi(1)*pi(2)^2 + 8*pi(1)*pi(2)*pi(4)^1/2*pi(8)^1/2 + pi(1)*pi(4)^2"
+            " + 8*pi(1)*pi(8)^2 + 24*pi(2)^3/2*pi(4)^3/2"
+        )
+        assert prove(parse_identity(dsl)).verdict == "REFUTED"
+        assert check(parse_identity(dsl), 190).verdict == "REFUTED"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_proven_survives_a_long_check(self, data):
+        indices, degree, residue = data.draw(st.sampled_from(_kernel_classes()))
+        monos, kernel = _window_kernel(indices, degree, residue)
+        mult = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel)))
+        vec = [sum(c * v[i] for c, v in zip(mult, kernel)) for i in range(len(monos))]
+        assume(any(vec))
+        rec = parse_identity(_relation_dsl(monos, vec))
+        rep = prove(rec)
+        if rep.verdict == "PROVEN":
+            assert check(rec, 6 * rep.sturm_bound + 40).verdict != "REFUTED", rec.dsl
+
+
+class TestRadicalBranches:
+    COMMON = (
+        "sqrt(pi(1)*pi(3))*(pi(2)^2 + 2*pi(2)*pi(6))"
+        " = sqrt(pi(1)*pi(3))*(pi(1)*pi(3) + {}*pi(6)^2)"
+    )
+
+    def test_common_radical_cancelled(self):
+        rep = prove(parse_identity(self.COMMON.format(3)))
+        assert rep.tsv_line() == "inline\tPROVEN\t2\t12\t1\t5\t5"
+        assert "common radical factor cancelled" in rep.certificate.citations
+
+    def test_common_radical_mutant_refuted(self):
+        rep = prove(parse_identity(self.COMMON.format(2)))
+        assert rep.verdict == "REFUTED"
+        assert rep.detail == "coefficient mismatch at q^3: 4 vs 3"
+
+    def test_radical_merge(self):
+        rep = prove(
+            parse_identity(
+                "sqrt(pi(2)*pi(6))*(pi(1)^2 - 3*pi(3)^2) + sqrt(pi(1)*pi(3)*pi(2)^2)"
+                " = sqrt(pi(1)*pi(3))*(pi(2)^2 + 3*pi(6)^2) + pi(2)*sqrt(pi(1)*pi(3))"
+            )
+        )
+        assert rep.tsv_line() == "inline\tPROVEN\t3\t24\t2\t13\t13"
+        assert "radical-merge multiplication" in rep.certificate.citations
