@@ -287,14 +287,16 @@ class PiMonomial:
     def expand(self, terms: int) -> ScaledSeries:
         """q-expansion through the eta quotient at level 2*lcm(indices).
 
-        One integer recurrence covers the whole product, so the result is
-        known modulo O(q^(valuation + min(indices)*terms)).
+        ``terms`` counts steps of q^min(indices), the eta quotient's smallest
+        delta: one integer recurrence covers the whole product, so the result
+        is known modulo O(q^(valuation + min(indices)*terms)).
         """
         return ScaledSeries(*self.numerators(terms))
 
     def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
         """The expansion of :meth:`expand` as (scale, {numerator: int}, bound).
 
+        As there, ``terms`` counts steps of q^min(indices), not q-exponents.
         Numerators come in increasing order, as from ``EtaQuotient.numerators``.
         """
         if not self.halves:

@@ -17,7 +17,9 @@ The pipeline for :func:`prove`:
     signature (at most two groups after an optional radical multiplication
     that merges reciprocal radicals), each group sum is squared, and a final
     leading-coefficient comparison of the unsquared sides is recorded as an
-    extra obligation.
+    extra obligation.  A first unsquared side that vanishes on its first
+    window is instead put through steps 4-6 without its radicals, as the
+    identity "radical-free part = 0".
 4.  Homogeneity: all terms must share an integral total weight and a common
     residue of sum(k_i n_i) mod 4; the residue fixes the substitution
     exponent m in {1, 2, 4}, applied to Pi indices and combination scales.
@@ -35,8 +37,10 @@ The pipeline for :func:`prove`:
     spaces M_k(N, chi), the identity holds iff every group's two sums agree,
     and each group's difference lies in one M_k(N, chi), whose Sturm bound
     is that of Gamma_0(N) (Stein, Cor. 9.19).  Each group's sides are
-    expanded and compared coefficient by coefficient up to
-    floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1.
+    expanded to at most min(index) + 4 exponents past the bound
+    floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1 (a Pi-monomial's expansion runs
+    in steps of q^min(index)) and compared below it on the integer
+    numerators of their difference.
 """
 
 from __future__ import annotations
@@ -251,8 +255,14 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
 
 
 def _pi_window(mono: PiMonomial, min_bound: Fraction) -> int:
-    # The expansion is known past valuation + t >= min_bound + 4.
-    return max(8, math.ceil(min_bound - mono.valuation) + 4)
+    """Kernel steps (of q^min(index)) that carry the expansion to min_bound + 4.
+
+    The expansion is known to valuation + min(index) * steps, so it stops
+    less than one step past min_bound + 4 unless the floor of 8 steps holds.
+    """
+    if not mono.halves:
+        return 1
+    return max(8, math.ceil((min_bound - mono.valuation + 4) / min(mono.indices())))
 
 
 def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
@@ -299,13 +309,44 @@ def rts_series(terms, min_bound) -> ScaledSeries:
     """Expansion of a reduced term sum with bound at least min_bound."""
     min_bound = _frac(min_bound)
     out = _rts_sum(terms, min_bound)
-    # Guard: operations can only have shrunk the bound below the request if
-    # a radical or combination windows interacted; grow windows until met.
+    # Guard: a square root loses half its radicand's valuation x0 (a radicand
+    # known to O(q^b) has a root known to O(q^(b - x0/2))), and a combination
+    # expanded to ceil(min_bound) loses a negative Pi valuation beside it, so
+    # the sum can fall short of the request; grow windows until met.
     attempt = 0
     while out.bound != INF and out.bound < min_bound and attempt < 6:
         attempt += 1
         out = _rts_sum(terms, min_bound + attempt * 8)
     return out
+
+
+def _first_mismatch(s_l: ScaledSeries, s_r: ScaledSeries, start, scale: int, count: int):
+    """Earliest (e, cl, cr) with cl != cr over the grid e = start + i/scale, i < count.
+
+    The sides are compared on the integer numerators of their difference,
+    and coefficients become Fractions only for the reported mismatch.  With
+    no mismatch below the shorter bound, a grid point at or past it raises
+    ``InsufficientPrecision``, as asking both sides for it would.  None when
+    the sides agree on the whole grid.
+    """
+    start = _frac(start)
+    diff = ScaledSeries.linear_sum(((1, s_l), (-1, s_r)))
+    # Entry n of the difference sits at n/diff.scale, which is grid point
+    # i = scale * (n/diff.scale - start) when that is an integer.
+    num, lat = start.numerator * diff.scale, start.denominator * diff.scale
+    for n in diff.nums:
+        i, rem = divmod(scale * (n * start.denominator - num), lat)
+        if i >= count:
+            break
+        if i >= 0 and not rem:
+            e = start + Fraction(i, scale)
+            return e, s_l.coefficient(e), s_r.coefficient(e)
+    if diff.bound != INF:
+        i = max(0, math.ceil((diff.bound - start) * scale))
+        if i < count:
+            for side in (s_l, s_r):
+                side.coefficient(start + Fraction(i, scale))  # raises past its bound
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +442,16 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
 
     lhs, cit_l = _reduce_side(lhs_t)
     rhs, cit_r = _reduce_side(rhs_t)
-    citations = sorted(set(cit_l) | set(cit_r))
+    return _prove_reduced(rec.id, lhs, rhs, sorted(set(cit_l) | set(cit_r)), cfg)
 
+
+def _atomless(terms) -> tuple:
+    """The term sum with every radical factor divided out."""
+    return ts_make(Term(t.coef, t.pi, t.lamberts) for t in terms)
+
+
+def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> ProofReport:
+    """Steps 3 to 6 for Lambert-reduced sides: radicals, modularity, comparison."""
     squared = False
     root_pair = None
     sigs = sorted({_signature(t) for t in list(lhs) + list(rhs)})
@@ -420,8 +469,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
             raise _Uncertifiable("radical signatures exceed one squaring round")
         if len(sigs) == 1:
             # Every term carries the same radical: divide it out.
-            atomless = lambda ts: ts_make(Term(t.coef, t.pi, t.lamberts) for t in ts)
-            lhs, rhs = atomless(lhs), atomless(rhs)
+            lhs, rhs = _atomless(lhs), _atomless(rhs)
             citations.append("common radical factor cancelled")
         else:
             sig_a, sig_b = sigs
@@ -491,15 +539,12 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     first = None  # (e, cl, cr) of the earliest mismatch; ties keep the smaller disc
     for disc in sorted(groups):
         s_l, s_r = (rts_series(ts, bound) for ts in groups[disc])
-        for e in range(bound if first is None else first[0]):
-            cl, cr = s_l.coefficient(e), s_r.coefficient(e)
-            if cl != cr:
-                first = (e, cl, cr)
-                break
+        first = _first_mismatch(s_l, s_r, 0, 1, bound if first is None else first[0]) or first
     if first is not None:
         e, cl, cr = first
+        e = int(e)
         return ProofReport(
-            id=rec.id,
+            id=rid,
             verdict="REFUTED",
             weight=k,
             level=level,
@@ -512,11 +557,11 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         )
 
     if squared:
-        ok, info = _check_root_branch(root_pair)
-        if not ok:
+        citation, info = _check_root_branch(root_pair, cfg)
+        if citation is None:
             e, cl, cr = info
             return ProofReport(
-                id=rec.id,
+                id=rid,
                 verdict="REFUTED",
                 weight=k,
                 level=level,
@@ -527,7 +572,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
                 detail=f"squares agree but leading terms differ at q^{e}: {cl} vs {cr}",
                 mismatch=(e, cl, cr),
             )
-        citations.append("leading-coefficient branch comparison")
+        citations.append(citation)
 
     cert = Certificate(
         weight=k,
@@ -538,7 +583,7 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
         terms=_term_facts(diff, cusp_list, level, orders),
     )
     return ProofReport(
-        id=rec.id,
+        id=rid,
         verdict="PROVEN",
         weight=k,
         level=level,
@@ -550,11 +595,18 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     )
 
 
-def _check_root_branch(root_pair):
-    """Leading-term comparison of the unsquared sides (the j = 0 branch)."""
+def _check_root_branch(root_pair, cfg: ProveConfig):
+    """Leading-term comparison of the unsquared sides (the j = 0 branch).
+
+    Returns (citation, None) when the sides agree and (None, (e, cl, cr))
+    when their leading terms differ.  The first side is its radicals times a
+    radical-free sum; when it is zero on its first window and the prover
+    certifies that sum zero, the side is zero, and so is the other side,
+    whose square equals its square.
+    """
     f_terms, g_terms = root_pair
 
-    def leading(terms):
+    def leading(terms, try_zero=False):
         vals = []
         for t in terms:
             v = t.pi.valuation
@@ -567,18 +619,30 @@ def _check_root_branch(root_pair):
             s = rts_series(terms, start + window)
             if not s.is_zero():
                 return s
+            if try_zero and window == ROOT_WINDOW and _proven_zero(terms, cfg):
+                return None
             window *= 2
         raise _Uncertifiable("cannot locate leading coefficient of unsquared side")
 
-    f = leading(f_terms)
+    f = leading(f_terms, try_zero=True)
+    if f is None:
+        return "vanishing unsquared sides (radical-free part proven zero)", None
     g = leading(g_terms)
     if root_match(f, g):
-        return True, None
+        return "leading-coefficient branch comparison", None
     fe, ge = f.valuation(), g.valuation()
     e = fe if (ge is None or (fe is not None and fe <= ge)) else ge
     cl = f.coefficient(e) if e is not None else Fraction(0)
     cr = g.coefficient(e) if e is not None else Fraction(0)
-    return False, (e, cl, cr)
+    return None, (e, cl, cr)
+
+
+def _proven_zero(terms, cfg: ProveConfig) -> bool:
+    """True when the prover certifies the terms' radical-free part as zero."""
+    try:
+        return _prove_reduced("", _atomless(terms), (), [], cfg).verdict == "PROVEN"
+    except _Uncertifiable:
+        return False
 
 
 def check(rec: IdentityRecord, terms: int) -> ProofReport:
@@ -597,17 +661,16 @@ def check(rec: IdentityRecord, terms: int) -> ProofReport:
             if min(s_l.bound, s_r.bound) >= need:
                 break
             window += max(4, math.ceil(need - min(s_l.bound, s_r.bound)) + 2)
-        for i in range(terms):
-            e = start + Fraction(i, scale)
-            cl, cr = s_l.coefficient(e), s_r.coefficient(e)
-            if cl != cr:
-                return ProofReport(
-                    id=rec.id,
-                    verdict="REFUTED",
-                    coefficients_compared=i + 1,
-                    detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
-                    mismatch=(e, cl, cr),
-                )
+        first = _first_mismatch(s_l, s_r, start, scale, terms)
+        if first is not None:
+            e, cl, cr = first
+            return ProofReport(
+                id=rec.id,
+                verdict="REFUTED",
+                coefficients_compared=int((e - start) * scale) + 1,
+                detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
+                mismatch=(e, cl, cr),
+            )
         return ProofReport(
             id=rec.id, verdict="CHECKED", coefficients_compared=terms,
             detail=f"first {terms} coefficients agree",

@@ -141,3 +141,24 @@ class TestMine:
         for rel in mine(DiscoveryQuery.make(indices, degree)):
             chars = {tf.character for tf in rel.certificate.certificate.terms}
             assert chars == {(-1) ** rel.degree}, rel.dsl
+
+
+class TestMineWithoutIndexOne:
+    """Index sets without 1, whose column windows count steps of q^min(index) > q."""
+
+    @pytest.mark.parametrize(
+        "indices,degree,want",
+        [
+            ((2, 4, 8), 4, [(
+                "pi(2)^2*pi(8) = pi(4)^3 + 4*pi(4)*pi(8)^2",
+                "mined-2.4.8-d3-c0-0\tPROVEN\t3\t16\t1\t7\t7",
+            )]),
+            ((3, 6, 9, 18), 3, [(
+                "pi(3)*pi(9) + 3*pi(18)^2 = pi(6)^2 + 2*pi(6)*pi(18)",
+                "mined-3.6.9.18-d2-c0-0\tPROVEN\t2\t36\t1\t13\t13",
+            )]),
+        ],
+    )
+    def test_relations_pinned(self, indices, degree, want):
+        rels = mine(DiscoveryQuery.make(indices, degree))
+        assert [(r.dsl, r.certificate.tsv_line()) for r in rels] == want

@@ -9,13 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 import piq
 import piq.verify as verify_module
 from piq.discover import _compositions, _relation_dsl
+from piq.errors import InsufficientPrecision
 from piq.etaq import PiMonomial
 from piq.ident import SqrtAtom, Term, parse_identity
 from piq.linalg import kernel_basis, series_window_matrix
 from piq.quasimod import E2Combo, E4Combo, LambertSpec
 from piq.series import ScaledSeries as S
 from piq.verify import (
+    _first_mismatch,
     _pi_series,
+    _pi_window,
     check,
     prove,
     root_match,
@@ -353,6 +356,31 @@ class TestRootBranchRefutation:
         assert "leading" in rep.detail
 
 
+class TestVanishingRootBranch:
+    """A squaring round whose unsquared sides are both identically zero."""
+
+    # Corpus L12-1 times a radical binomial: both unsquared groups vanish.
+    DSL = (
+        "(pi(2) + sqrt(pi(1)*pi(3)))*(pi(2)^2 + 2*pi(2)*pi(6))"
+        " = (pi(2) + sqrt(pi(1)*pi(3)))*(pi(1)*pi(3) + {}*pi(6)^2)"
+    )
+
+    def test_proven(self):
+        rec = parse_identity(self.DSL.format(3))
+        rep = prove(rec)
+        assert rep.tsv_line() == "inline\tPROVEN\t6\t12\t1\t13\t13"
+        assert (
+            "vanishing unsquared sides (radical-free part proven zero)"
+            in rep.certificate.citations
+        )
+        assert check(rec, 6 * rep.sturm_bound).verdict != "REFUTED"
+
+    def test_mutant_refuted(self):
+        rep = prove(parse_identity(self.DSL.format(2)))
+        assert rep.verdict == "REFUTED"
+        assert rep.detail == "coefficient mismatch at q^8: 0 vs 2"
+
+
 def _reference_rts_series(terms, min_bound):
     """rts_series as one Fraction series per term, added one by one."""
 
@@ -381,6 +409,26 @@ def _reference_rts_series(terms, min_bound):
         attempt += 1
         out = total(min_bound + attempt * 8)
     return out
+
+
+class TestRtsSeriesGuard:
+    def test_radicand_valuation_forces_a_retry(self, monkeypatch):
+        # sqrt(pi(1)^40): the radicand has valuation 10, so its root is known
+        # 5 short of the radicand's bound, which stops just past 40 + 4.
+        terms = (Term(F(1), PiMonomial.one(), (), (SqrtAtom((Term(F(1), _pm({1: 40})),)),)),)
+        calls = []
+        real = verify_module._rts_sum
+
+        def counting(terms, min_bound):
+            calls.append(min_bound)
+            return real(terms, min_bound)
+
+        monkeypatch.setattr(verify_module, "_rts_sum", counting)
+        got = rts_series(terms, 40)
+        monkeypatch.undo()
+        assert calls == [40, 48]
+        assert got.bound >= 40
+        assert _fields(got) == _fields(_reference_rts_series(terms, 40))
 
 
 def _fields(s):
@@ -579,3 +627,123 @@ class TestRadicalBranches:
         )
         assert rep.tsv_line() == "inline\tPROVEN\t3\t24\t2\t13\t13"
         assert "radical-merge multiplication" in rep.certificate.citations
+
+
+class TestPiWindow:
+    """Each expansion reaches min_bound + 4 and stops within one kernel step of it."""
+
+    @staticmethod
+    def _assert_tight(mono, b):
+        b = F(b)
+        got = _pi_series(mono, b).bound
+        if not mono.halves:
+            assert got == math.inf
+            return
+        assert got >= b + 4, (mono, b)
+        if _pi_window(mono, b) > 8:
+            assert got < b + 4 + min(mono.indices()), (mono, b)
+
+    @pytest.mark.parametrize("rid", ["L18-4", "La18-3", "L12-3"])
+    def test_prover_windows(self, rid, monkeypatch):
+        seen = []
+        real = verify_module._pi_series
+
+        def recording(mono, min_bound):
+            seen.append((mono, min_bound))
+            return real(mono, min_bound)
+
+        monkeypatch.setattr(verify_module, "_pi_series", recording)
+        rec = next(r for r in piq.load_corpus() if r.id == rid)
+        assert prove(rec).verdict == "PROVEN"
+        monkeypatch.undo()
+        assert seen
+        for mono, b in seen:
+            self._assert_tight(mono, b)
+
+    def test_seeded_random_monomials(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            idx = rng.sample([1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 36], rng.randint(0, 4))
+            mono = _pm({n: F(rng.choice([-3, -2, -1, 1, 2, 3, 4, 6]), 2) for n in idx})
+            self._assert_tight(mono, F(rng.randint(-20, 400), rng.choice([1, 2, 3, 4, 8])))
+
+
+def _reference_first_mismatch(s_l, s_r, start, scale, count):
+    """The coefficient-by-coefficient loop that _first_mismatch replaces."""
+    for i in range(count):
+        e = start + F(i, scale)
+        cl, cr = s_l.coefficient(e), s_r.coefficient(e)
+        if cl != cr:
+            return e, cl, cr
+    return None
+
+
+class TestFirstMismatch:
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return "value", fn(*args)
+        except InsufficientPrecision as exc:
+            return "raised", str(exc)
+
+    def _assert_same(self, s_l, s_r, start, scale, count):
+        args = (s_l, s_r, F(start), scale, count)
+        want = self._outcome(_reference_first_mismatch, *args)
+        assert self._outcome(_first_mismatch, *args) == want, args
+
+    @staticmethod
+    def _random_series(rng):
+        d = rng.choice([1, 2, 3, 4, 6, 8, 24])
+        terms = {
+            F(rng.randint(-6 * d, 20 * d), d): F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+            for _ in range(rng.randint(0, 25))
+        }
+        bound = math.inf if rng.random() < 0.2 else F(rng.randint(-2 * d, 24 * d), d)
+        return S.from_terms(terms, bound)
+
+    def test_seeded_random_pairs(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            s_l = self._random_series(rng)
+            roll = rng.random()
+            if roll < 0.3:
+                s_r = s_l
+            elif roll < 0.6:
+                # The same series with one coefficient changed.
+                e = F(rng.randint(-4, 16), rng.choice([1, 2, 4]))
+                s_r = s_l + S.from_terms({e: rng.choice([-1, 1])}, math.inf)
+            else:
+                s_r = self._random_series(rng)
+            start = F(rng.randint(-8, 8), rng.choice([1, 2, 3, 4]))
+            self._assert_same(s_l, s_r, start, rng.choice([1, 2, 3, 4, 6, 12]), rng.randint(0, 40))
+
+    def test_mismatch_at_q0(self):
+        s = S.from_terms({0: 1, 1: 3, F(5, 2): -1}, 10)
+        assert _first_mismatch(s, s + 2, 0, 1, 10) == (0, 1, 3)
+        self._assert_same(s, s + 2, 0, 1, 10)
+
+    def test_equal_series(self):
+        s = S.from_terms({F(-1, 3): 2, F(7, 3): 5}, 9)
+        assert _first_mismatch(s, s, F(-1, 3), 3, 20) is None
+
+    def test_off_grid_difference_is_skipped(self):
+        # The sides differ only at q^(1/2), which the integer grid never visits.
+        s_l = S.from_terms({0: 1, F(1, 2): 1, 3: 2}, 10)
+        s_r = S.from_terms({0: 1, 3: 2}, 10)
+        assert _first_mismatch(s_l, s_r, 0, 1, 10) is None
+        assert _first_mismatch(s_l, s_r, 0, 2, 10) == (F(1, 2), 1, 0)
+
+    def test_short_side_raises(self):
+        s_l = S.from_terms({0: 1, 2: 1}, 5)
+        s_r = S.from_terms({0: 1, 2: 1}, 3)
+        with pytest.raises(InsufficientPrecision):
+            _first_mismatch(s_l, s_r, 0, 1, 4)
+        assert _first_mismatch(s_l, s_r, 0, 1, 3) is None
+        for count in (3, 4, 6):
+            self._assert_same(s_l, s_r, 0, 1, count)
+            self._assert_same(s_r, s_l, 0, 1, count)
+
+    def test_mismatch_before_the_short_bound_wins(self):
+        s_l = S.from_terms({0: 1, 1: 1}, 2)
+        s_r = S.from_terms({0: 1}, 20)
+        assert _first_mismatch(s_l, s_r, 0, 1, 10) == (1, 1, 0)
