@@ -68,10 +68,14 @@ def _load_records(args) -> list[IdentityRecord]:
 def _report_text(rep: ProofReport, verbose: bool) -> str:
     bits = [f"{rep.id}: {rep.verdict}"]
     if rep.verdict in ("PROVEN", "REFUTED"):
-        bits.append(
-            f"(weight {rep.weight}, level {rep.level}, m={rep.subst_exponent}, "
-            f"sturm {rep.sturm_bound}, compared {rep.coefficients_compared})"
-        )
+        # A REFUTED from a plain check has no weight, level, m or Sturm bound.
+        if rep.sturm_bound is not None:
+            bits.append(
+                f"(weight {rep.weight}, level {rep.level}, m={rep.subst_exponent}, "
+                f"sturm {rep.sturm_bound}, compared {rep.coefficients_compared})"
+            )
+        else:
+            bits.append(f"(compared {rep.coefficients_compared})")
     elif rep.verdict == "CHECKED":
         bits.append(f"({rep.coefficients_compared} coefficients)")
     if rep.detail:

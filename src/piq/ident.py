@@ -665,10 +665,60 @@ def _term_mul_ts(t: Term, ts: tuple) -> list[Term]:
     return res
 
 
+def _is_unit(a: tuple) -> bool:
+    """Whether the canonical term sum ``a`` is ``TS_ONE``, checked field by field."""
+    if len(a) != 1:
+        return False
+    t = a[0]
+    return not (t.pi.halves or t.lamberts or t.sqrts) and t.coef == 1
+
+
+def _split_plain(a: tuple):
+    """(lcm of the plain terms' denominators, [(2k pairs, numerator)], other terms).
+
+    Plain terms carry no Lambert atom and no radical; their coefficients are
+    put on integer numerators over the one denominator.
+    """
+    plain, other = [], []
+    for t in a:
+        (other if t.lamberts or t.sqrts else plain).append(t)
+    den = math.lcm(*(t.coef.denominator for t in plain))
+    nums = [(t.pi.halves, t.coef.numerator * (den // t.coef.denominator)) for t in plain]
+    return den, nums, other
+
+
 def ts_mul(a: tuple, b: tuple) -> tuple:
-    out: list[Term] = []
+    """Product of two canonical term sums.
+
+    Plain term pairs multiply on integer numerators into one accumulator per
+    merged Pi monomial; pairs with an atom or a radical go through
+    ``_term_mul``, and only then is the result merged by ``ts_make``.
+    """
+    if not a or not b:
+        return TS_ZERO
+    if _is_unit(a):
+        return b
+    if _is_unit(b):
+        return a
+    da, pa, oa = _split_plain(a)
+    db, pb, ob = _split_plain(b)
+    acc: dict = {}
+    for h1, n1 in pa:
+        for h2, n2 in pb:
+            if h1 and h2:
+                merged = dict(h1)
+                for n, h in h2:
+                    merged[n] = merged.get(n, 0) + h
+                key = tuple(sorted(item for item in merged.items() if item[1]))
+            else:
+                key = h1 or h2
+            acc[key] = acc.get(key, 0) + n1 * n2
+    den = da * db
+    out = [Term(Fraction(num, den), PiMonomial(key)) for key, num in sorted(acc.items()) if num]
+    if not (oa or ob):
+        return tuple(out)
     for t1 in a:
-        for t2 in b:
+        for t2 in (ob if not (t1.lamberts or t1.sqrts) else b):
             out.extend(_term_mul(t1, t2))
     return ts_make(out)
 

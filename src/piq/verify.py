@@ -15,11 +15,11 @@ The pipeline for :func:`prove`:
     ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
     signature (at most two groups after an optional radical multiplication
-    that merges reciprocal radicals), each group sum is squared, and a final
-    leading-coefficient comparison of the unsquared sides is recorded as an
-    extra obligation.  A first unsquared side that vanishes on its first
-    window is instead put through steps 4-6 without its radicals, as the
-    identity "radical-free part = 0".
+    that merges reciprocal radicals), each group sum A*sqrt(R) is squared as
+    A^2 * R, and a final leading-coefficient comparison of the unsquared
+    sides is recorded as an extra obligation.  A first unsquared side that
+    vanishes on its first window is instead put through steps 4-6 without
+    its radicals, as the identity "radical-free part = 0".
 4.  Homogeneity: all terms must share an integral total weight and a common
     residue of sum(k_i n_i) mod 4; the residue fixes the substitution
     exponent m in {1, 2, 4}, applied to Pi indices and combination scales.
@@ -369,7 +369,7 @@ def _cusp_orders(monos, cusp_list, level: int) -> dict:
 def _common_weight(terms) -> Fraction:
     weights = {t.weight for t in terms}
     if len(weights) > 1:
-        raise _Uncertifiable(f"non-homogeneous weights {sorted(weights)}")
+        raise _Uncertifiable(f"non-homogeneous weights [{', '.join(map(str, sorted(weights)))}]")
     return next(iter(weights)) if weights else Fraction(0)
 
 
@@ -450,6 +450,18 @@ def _atomless(terms) -> tuple:
     return ts_make(Term(t.coef, t.pi, t.lamberts) for t in terms)
 
 
+def _square_group(g: tuple) -> tuple:
+    """``ts_mul(g, g)`` for terms that share one radical signature: (A*sqrt(R))^2 = A^2 * R."""
+    if not g:
+        return ()
+    # Dropping the shared radicals keeps g's canonical order and merges nothing.
+    part = tuple(Term(t.coef, t.pi, t.lamberts) for t in g)
+    out = ts_mul(part, part)
+    for atom in g[0].sqrts:
+        out = ts_mul(out, atom.inner)
+    return out
+
+
 def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> ProofReport:
     """Steps 3 to 6 for Lambert-reduced sides: radicals, modularity, comparison."""
     squared = False
@@ -477,7 +489,7 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
             g1 = tuple(t for t in diff if _signature(t) == sig_a)
             g2 = tuple(t for t in diff if _signature(t) == sig_b)
             root_pair = (g1, ts_neg(g2))
-            lhs, rhs = ts_mul(g1, g1), ts_mul(g2, g2)
+            lhs, rhs = _square_group(g1), _square_group(g2)
             squared = True
             citations.append("one squaring round (radical elimination)")
 

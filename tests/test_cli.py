@@ -1,7 +1,11 @@
+import os
+
 import pytest
 
 import piq
 from piq.cli import main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run(capsys, *argv):
@@ -210,6 +214,34 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", piq.corpus_path(), "--id", "L8-1", "--verbose")
         assert code == 0
         assert "term" in out and "orders" in out
+
+    def test_verbose_corpus_matches_golden_file(self, capsys):
+        # Every certificate's terms, coefficients and cusp orders, pinned.
+        code, out, _ = run(capsys, "verify", piq.corpus_path(), "--verbose")
+        assert code == 0
+        with open(os.path.join(DATA, "corpus_verbose.txt"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+    def test_non_homogeneous_weights_print_as_rationals(self, capsys):
+        code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)")
+        assert code == 1
+        assert out == "inline: UNCERTIFIED -- non-homogeneous weights [0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--dsl", "pi(1) = pi(1)^2"],
+             "inline: REFUTED (compared 1) -- coefficient mismatch at q^1/4: 1 vs 0"),
+            (["--dsl", "pi(1) = pi(1) + 1", "--mode", "check"],
+             "inline: REFUTED (compared 1) -- coefficient mismatch at q^0: 0 vs 1"),
+        ],
+    )
+    def test_refuted_by_check_prints_no_certificate_fields(self, capsys, argv, line):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 1
+        assert out == line + "\n"
+        code, out, _ = run(capsys, "verify", *argv, "--report", "tsv")
+        assert out.splitlines()[2] == "inline\tREFUTED\t-\t-\t-\t-\t1"
 
 
 class TestDiscoverCmd:

@@ -30,6 +30,8 @@ from piq.ident import (
     parse_expression,
     parse_identity,
     SqrtAtom,
+    TS_ONE,
+    TS_ZERO,
     Term,
     _term_mul,
     to_dsl,
@@ -37,6 +39,7 @@ from piq.ident import (
     ts_make,
     ts_mul,
     ts_neg,
+    ts_pow_int,
 )
 from piq.quasimod import E2Combo, E4Combo, LambertSpec, expand_lambert
 from piq.series import ScaledSeries, psi_expansion
@@ -518,3 +521,113 @@ class TestTermSumCanonicalForm:
             b = ts_make(_random_term_sum(rng, indices, atoms))
             products = [p for t1 in a for t2 in b for p in _term_mul(t1, t2)]
             assert ts_mul(a, b) == _reference_ts_make(products) == ts_mul(b, a)
+
+
+    @staticmethod
+    def _reference_mul(a, b):
+        return _reference_ts_make([p for t1 in a for t2 in b for p in _term_mul(t1, t2)])
+
+    @staticmethod
+    def _assert_fraction_coefs(ts):
+        assert all(type(t.coef) is F for t in ts), ts
+
+    @staticmethod
+    def _plain_sum(rng, indices):
+        """Atom-free terms with coefficient denominators 1 to 12 and exponents of both signs."""
+        out = []
+        for _ in range(rng.randint(1, 9)):
+            exps = {n: F(rng.randint(-3, 3), 2) for n in rng.sample(indices, rng.randint(0, 3))}
+            out.append(Term(F(rng.randint(-6, 6), rng.randint(1, 12)), PiMonomial.make(exps)))
+        return ts_make(out)
+
+    @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
+    def test_plain_products_on_integer_numerators(self, indices):
+        rng = random.Random(f"plain{indices}")
+        for _ in range(80):
+            a, b = self._plain_sum(rng, indices), self._plain_sum(rng, indices)
+            got = ts_mul(a, b)
+            assert got == self._reference_mul(a, b) == ts_mul(b, a)
+            self._assert_fraction_coefs(got)
+
+    def test_cancelling_products(self):
+        p1, p2 = PiMonomial.make({1: 1}), PiMonomial.make({2: 1})
+        # (p1/4 + p2/6)(p1/4 - p2/6): the cross terms cancel to a zero coefficient.
+        a = ts_make([Term(F(1, 4), p1), Term(F(1, 6), p2)])
+        b = ts_make([Term(F(1, 4), p1), Term(F(-1, 6), p2)])
+        want = ts_make([Term(F(1, 16), p1 * p1), Term(F(-1, 36), p2 * p2)])
+        assert ts_mul(a, b) == self._reference_mul(a, b) == want
+        # p1 * p1^-1: the merged exponents cancel to the empty monomial.
+        inv = PiMonomial.make({1: -1})
+        a = ts_make([Term(F(3, 7), p1), Term(F(5, 12), inv)])
+        b = ts_make([Term(F(2, 11), inv), Term(F(-1, 9), p2)])
+        got = ts_mul(a, b)
+        assert got == self._reference_mul(a, b)
+        assert got[0].pi == PiMonomial.one() and got[0].coef == F(6, 77)
+        self._assert_fraction_coefs(got)
+
+    @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
+    def test_unit_and_zero_operands(self, indices):
+        rng = random.Random(f"unit{indices}")
+        atoms = _atom_choices(indices, True)
+        fresh_one = (Term(F(1), PiMonomial.one()),)
+        one = PiMonomial.one()
+        near_units = [
+            (Term(F(2), one),),
+            (Term(F(1, 2), one),),
+            (Term(F(-1), one),),
+            (Term(F(1), PiMonomial.make({indices[0]: 1})),),
+            (Term(F(1), one, atoms[1][0]),),
+            (Term(F(1), one, (), atoms[3][1]),),
+            ts_make([Term(F(1), one), Term(F(1), PiMonomial.make({indices[-1]: 1}))]),
+        ]
+        for _ in range(40):
+            a = ts_make(_random_term_sum(rng, indices, atoms))
+            for unit in (TS_ONE, fresh_one):
+                assert ts_mul(unit, a) == a and ts_mul(a, unit) == a
+            assert ts_mul(TS_ZERO, a) == TS_ZERO == ts_mul(a, TS_ZERO)
+            for near in near_units:
+                assert ts_mul(near, a) == self._reference_mul(near, a) == ts_mul(a, near)
+
+    def test_collapsed_radicals_merge_with_plain_products(self):
+        p1, p3, p6 = (PiMonomial.make({n: 1}) for n in (1, 3, 6))
+        one = PiMonomial.one()
+        for c, want in ((1, ((p1 * p3, -5), (p6 * p6, 3))), (6, ((p6 * p6, 1),))):
+            # sqrt(R)^2 = c*pi(1)*pi(3) + ... meets the plain product -6*pi(1)*pi(3).
+            root = SqrtAtom(ts_make([Term(F(c), p1 * p3), Term(F(3 if c == 1 else 1), p6 * p6)]))
+            a = ts_make([Term(F(1), one, (), (root,)), Term(F(2), p1)])
+            b = ts_make([Term(F(1), one, (), (root,)), Term(F(-3), p3)])
+            got = ts_mul(a, b)
+            assert got == self._reference_mul(a, b) == ts_mul(b, a)
+            plain = tuple((t.pi, t.coef) for t in got if not t.sqrts)
+            assert plain == tuple((m, F(k)) for m, k in want)
+            self._assert_fraction_coefs(got)
+
+    @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_ts_pow_int_matches_reference_products(self, indices, reduced):
+        """Powers up to 6 against reference products, in ts_pow_int's grouping.
+
+        A product of two different radicals stays one unsimplified radical,
+        so with two radicals the power depends on how its factors are
+        grouped; with at most one radical, repeated products must agree too.
+        """
+        rng = random.Random(f"pow{indices}{reduced}")
+        atoms = _atom_choices(indices, reduced)
+        one_radical = [slot for slot in atoms if slot[1] != atoms[4][1]]
+        for _ in range(6):
+            a = ts_make(_random_term_sum(rng, indices, atoms)[:4])
+            b = ts_make(_random_term_sum(rng, indices, one_radical)[:4])
+            repeated = TS_ONE
+            for e in range(7):
+                result, base, k = TS_ONE, a, e
+                while k:
+                    if k & 1:
+                        result = self._reference_mul(result, base)
+                    k >>= 1
+                    if k:
+                        base = self._reference_mul(base, base)
+                got = ts_pow_int(a, e)
+                assert got == result, (a, e)
+                assert ts_pow_int(b, e) == repeated, (b, e)
+                self._assert_fraction_coefs(got)
+                repeated = self._reference_mul(repeated, b)

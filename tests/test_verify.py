@@ -11,12 +11,13 @@ import piq.verify as verify_module
 from piq.discover import _compositions, _relation_dsl
 from piq.errors import InsufficientPrecision
 from piq.etaq import PiMonomial
-from piq.ident import SqrtAtom, Term, parse_identity
+from piq.ident import SqrtAtom, Term, _key, _term_mul, build_sides, parse_identity, ts_make, ts_mul
 from piq.linalg import kernel_basis, series_window_matrix
 from piq.quasimod import E2Combo, E4Combo, LambertSpec
 from piq.series import ScaledSeries as S
 from piq.verify import (
     _first_mismatch,
+    _square_group,
     _pi_series,
     _pi_window,
     check,
@@ -747,3 +748,56 @@ class TestFirstMismatch:
         s_l = S.from_terms({0: 1, 1: 1}, 2)
         s_r = S.from_terms({0: 1}, 20)
         assert _first_mismatch(s_l, s_r, 0, 1, 10) == (1, 1, 0)
+
+
+class TestSquaringRound:
+    """The squaring round's (A*sqrt(R))^2 = A^2 * R against the plain product g*g."""
+
+    INDICES = (1, 2, 3, 4, 6, 8, 12)
+
+    def _plain(self, rng, size):
+        out = []
+        for _ in range(size):
+            exps = {n: F(rng.randint(-2, 4), 2) for n in rng.sample(self.INDICES, rng.randint(0, 3))}
+            out.append(Term(F(rng.randint(-5, 5) or 1, rng.randint(1, 6)), PiMonomial.make(exps)))
+        return ts_make(out)
+
+    def _radical(self, rng):
+        """(radical, composite): one over 1-4 terms, or the one a product of two builds."""
+        root = SqrtAtom(self._plain(rng, rng.randint(1, 4)))
+        if rng.random() < 0.4:
+            other = Term(F(1), PiMonomial.one(), (), (SqrtAtom(self._plain(rng, rng.randint(1, 3))),))
+            (prod,) = _term_mul(Term(F(1), PiMonomial.one(), (), (root,)), other)
+            if prod.sqrts:
+                return prod.sqrts[0], True
+        return root, False
+
+    def _group(self, rng):
+        root, composite = self._radical(rng)
+        e2, e4 = E2Combo.make({1: -1, 2: 2}), E4Combo.make({1: 1, 3: -1})
+        factors = [(), (), (e2,), (e4,), tuple(sorted((e2, e4), key=_key))]
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            t = self._plain(rng, 1)
+            if t:
+                terms.append(Term(t[0].coef, t[0].pi, rng.choice(factors), (root,)))
+        return ts_make(terms), composite
+
+    def test_seeded_groups(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(200):
+            g, composite = self._group(rng)
+            assert _square_group(g) == ts_mul(g, g), g
+            if g:
+                kinds.add((composite, any(t.lamberts for t in g)))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_empty_group(self):
+        assert _square_group(()) == () == ts_mul((), ())
+
+    @pytest.mark.parametrize("rec", piq.load_corpus(), ids=lambda r: r.id)
+    def test_built_sides_are_canonical(self, rec):
+        for side in build_sides(rec):
+            assert ts_make(side) == side
+            assert all(type(t.coef) is F for t in side)
