@@ -13,6 +13,7 @@ side and directly from Pi-exponent data.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -290,8 +291,13 @@ class PiMonomial:
         ``terms`` counts steps of q^min(indices), the eta quotient's smallest
         delta: one integer recurrence covers the whole product, so the result
         is known modulo O(q^(valuation + min(indices)*terms)).
+
+        The result is shared: every request for the same monomial and
+        ``terms`` in one process gets the same immutable series, from a
+        memo of at most ``EXPANSION_MEMO_SIZE`` entries keyed on the integer
+        ``halves`` pairs.
         """
-        return ScaledSeries(*self.numerators(terms))
+        return _expansion(self.halves, terms)
 
     def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
         """The expansion of :meth:`expand` as (scale, {numerator: int}, bound).
@@ -302,6 +308,17 @@ class PiMonomial:
         if not self.halves:
             return 1, {0: 1}, INF
         return pi_to_eta(self, 2 * math.lcm(*self.indices())).numerators(terms)
+
+
+# Distinct (halves, terms) expansions the memo keeps; one lifted_mix pass of
+# the benchmark asks for about 600.
+EXPANSION_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=EXPANSION_MEMO_SIZE)
+def _expansion(halves: tuple[tuple[int, int], ...], terms: int) -> ScaledSeries:
+    """``PiMonomial(halves).expand(terms)``, memoized; ScaledSeries is immutable."""
+    return ScaledSeries(*PiMonomial(halves).numerators(terms))
 
 
 @dataclass(frozen=True)

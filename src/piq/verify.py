@@ -30,7 +30,9 @@ The pipeline for :func:`prove`:
     nonnegative, and as Pi_n = eta(2nz)^4/eta(nz)^2 the order of Pi_n at a
     cusp c/s is a nonnegative multiple of gcd(s,2n)^2 - gcd(s,n)^2 >= 0.
     The orders are still checked: a negative one leaves the identity
-    uncertified.
+    uncertified.  Each monomial's order row over the cusps of a level is
+    computed once per process and read from a bounded memo after that, as
+    is each level's cusp list.
 6.  The terms of both sides are grouped by the quadratic character of their
     Pi part, keyed by ``PiMonomial.character_disc`` (E2 and E4 combinations
     have trivial character).  As M_k(Gamma_1(N)) is the direct sum of the
@@ -45,6 +47,7 @@ The pipeline for :func:`prove`:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,20 +257,26 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _pi_window(mono: PiMonomial, min_bound: Fraction) -> int:
+def _pi_window(mono: PiMonomial, min_bound) -> int:
     """Kernel steps (of q^min(index)) that carry the expansion to min_bound + 4.
 
     The expansion is known to valuation + min(index) * steps, so it stops
     less than one step past min_bound + 4 unless the floor of 8 steps holds.
+    With min_bound = p/q and valuation S/8, S = sum n*2k, the step count
+    ceil((p/q - S/8 + 4) / min(index)) is taken in integers.
     """
-    if not mono.halves:
+    halves = mono.halves
+    if not halves:
         return 1
-    return max(8, math.ceil((min_bound - mono.valuation + 4) / min(mono.indices())))
+    p, q = min_bound.numerator, min_bound.denominator
+    s = sum(n * h for n, h in halves)
+    # halves is sorted by index, so its first index is the smallest.
+    return max(8, -((q * s - 8 * p - 32 * q) // (8 * q * halves[0][0])))
 
 
 def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
     """Expansion of a Pi-monomial with bound at least min_bound."""
-    return mono.expand(_pi_window(mono, _frac(min_bound)))
+    return mono.expand(_pi_window(mono, min_bound))
 
 
 def _pi_sum(pairs, min_bound: Fraction) -> ScaledSeries:
@@ -358,12 +367,23 @@ def _signature(t: Term):
     return tuple(a.key() for a in t.sqrts)
 
 
-def _cusp_orders(monos, cusp_list, level: int) -> dict:
-    """Order vector over cusp_list of each distinct Pi monomial."""
-    return {
-        p: tuple(pi_order_at_cusp(p, c, level) for c in cusp_list)
-        for p in dict.fromkeys(monos)
-    }
+# Memo sizes: the levels and the (monomial, level) order rows one process
+# keeps; one lifted_mix pass of the benchmark needs 6 levels and about 500 rows.
+CUSP_LIST_MEMO_SIZE = 64
+CUSP_ROW_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CUSP_LIST_MEMO_SIZE)
+def _cusp_list(level: int) -> tuple:
+    """The cusps of Gamma_0(level), once per level."""
+    return tuple(cusps(level))
+
+
+@functools.lru_cache(maxsize=CUSP_ROW_MEMO_SIZE)
+def _cusp_row(halves: tuple, level: int) -> tuple[Fraction, ...]:
+    """Orders of PiMonomial(halves) over _cusp_list(level), once per pair."""
+    mono = PiMonomial(halves)
+    return tuple(pi_order_at_cusp(mono, c, level) for c in _cusp_list(level))
 
 
 def _common_weight(terms) -> Fraction:
@@ -387,10 +407,12 @@ def _common_residue(terms) -> int:
     return residues.pop() if residues else 0
 
 
-def _term_facts(terms, cusp_list, level: int, orders) -> tuple[TermFacts, ...]:
+def _term_facts(terms, level: int) -> tuple[TermFacts, ...]:
+    cusp_list = _cusp_list(level)
     facts = []
     for t in terms:
-        row = tuple((c.label(level), str(o)) for c, o in zip(cusp_list, orders[t.pi]))
+        orders = _cusp_row(t.pi.halves, level)
+        row = tuple((c.label(level), str(o)) for c, o in zip(cusp_list, orders))
         combo_levels = tuple(c.level for c in t.lamberts)
         facts.append(TermFacts(t.describe(), t.weight, row, combo_levels, t.pi.character_disc))
     return tuple(facts)
@@ -519,10 +541,9 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         for combo in t.lamberts:
             level = math.lcm(level, combo.level)
 
-    cusp_list = cusps(level)
-    orders = _cusp_orders((t.pi for t in diff), cusp_list, level)
+    cusp_list = _cusp_list(level)
     for t in diff:
-        for c, o in zip(cusp_list, orders[t.pi]):
+        for c, o in zip(cusp_list, _cusp_row(t.pi.halves, level)):
             if o < 0:
                 raise _Uncertifiable(
                     f"term {t.describe()} has order {o} at cusp {c.label(level)}"
@@ -592,7 +613,7 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         subst_exponent=m,
         clearing=clearing,
         citations=tuple(sorted(set(citations))),
-        terms=_term_facts(diff, cusp_list, level, orders),
+        terms=_term_facts(diff, level),
     )
     return ProofReport(
         id=rid,

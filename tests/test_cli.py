@@ -222,6 +222,14 @@ class TestVerify:
         with open(os.path.join(DATA, "corpus_verbose.txt"), encoding="utf-8") as fh:
             assert out == fh.read()
 
+    def test_second_verbose_sweep_in_one_process_matches_golden_file(self, capsys):
+        # The second sweep reads the per-process expansion and cusp-order memos.
+        with open(os.path.join(DATA, "corpus_verbose.txt"), encoding="utf-8") as fh:
+            golden = fh.read()
+        for _ in range(2):
+            code, out, _ = run(capsys, "verify", piq.corpus_path(), "--verbose")
+            assert (code, out) == (0, golden)
+
     def test_non_homogeneous_weights_print_as_rationals(self, capsys):
         code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)")
         assert code == 1

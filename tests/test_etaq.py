@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from piq.errors import LevelMismatch, PreconditionViolated
 from piq.etaq import (
+    EXPANSION_MEMO_SIZE,
     Cusp,
     EtaQuotient,
     PiMonomial,
@@ -22,6 +23,7 @@ from piq.etaq import (
     order_at_cusp,
     pi_order_at_cusp,
     pi_to_eta,
+    _expansion,
 )
 from piq.series import ScaledSeries, eta_expansion, psi_expansion
 
@@ -272,6 +274,45 @@ class TestExpand:
             (F(0), F(1)),
             (F(2), F(1)),
         ]
+
+
+class TestExpansionMemo:
+    """PiMonomial.expand serves one shared, bounded memo of immutable series."""
+
+    @staticmethod
+    def _requests(seed, count):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            idx = rng.sample([1, 2, 3, 4, 6, 8, 9, 12], rng.randint(0, 3))
+            exps = {n: F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), 2) for n in idx}
+            out.append((PiMonomial.make(exps), rng.randint(1, 30)))
+        return out
+
+    def test_cold_and_warm_match_the_kernel(self):
+        requests = self._requests(2026, 150)
+        assert any(h < 0 for m, _ in requests for _, h in m.halves)
+        assert any(h % 2 for m, _ in requests for _, h in m.halves)
+        _expansion.cache_clear()
+        cold = [m.expand(t) for m, t in requests]
+        warm = [m.expand(t) for m, t in requests]
+        for (m, t), a, b in zip(requests, cold, warm):
+            want = _fields(ScaledSeries(*m.numerators(t)))
+            assert _fields(a) == want == _fields(b), (m, t)
+
+    def test_requests_share_one_object(self):
+        for m, t in self._requests(7, 40):
+            assert m.expand(t) is m.expand(t)
+            assert PiMonomial(m.halves).expand(t) is m.expand(t)
+
+    def test_memo_stays_bounded(self):
+        _expansion.cache_clear()
+        for h in range(1, EXPANSION_MEMO_SIZE + 100):
+            PiMonomial.make({1: F(h, 2)}).expand(2)
+        info = _expansion.cache_info()
+        assert info.misses > EXPANSION_MEMO_SIZE
+        assert info.currsize <= info.maxsize == EXPANSION_MEMO_SIZE
+        _expansion.cache_clear()
 
 
 class TestKronecker:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ import piq
 import piq.verify as verify_module
 from piq.discover import _compositions, _relation_dsl
 from piq.errors import InsufficientPrecision
-from piq.etaq import PiMonomial
+from piq.etaq import PiMonomial, _expansion
 from piq.ident import SqrtAtom, Term, _key, _term_mul, build_sides, parse_identity, ts_make, ts_mul
 from piq.linalg import kernel_basis, series_window_matrix
 from piq.quasimod import E2Combo, E4Combo, LambertSpec
@@ -668,6 +669,25 @@ class TestPiWindow:
             mono = _pm({n: F(rng.choice([-3, -2, -1, 1, 2, 3, 4, 6]), 2) for n in idx})
             self._assert_tight(mono, F(rng.randint(-20, 400), rng.choice([1, 2, 3, 4, 8])))
 
+    def test_integer_window_matches_fraction_formula(self):
+        # The old formula: ceil((b - valuation + 4) / min(index)), on Fractions.
+        rng = random.Random(20261020)
+        dens, negative = set(), 0
+        for _ in range(20000):
+            idx = rng.sample([1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 36], rng.randint(0, 4))
+            mono = _pm({n: F(rng.choice([-7, -4, -3, -1, 1, 2, 3, 5, 8]), 2) for n in idx})
+            den = rng.choice([1, 2, 3, 4, 8, 16])
+            b = F(rng.randint(-300, 600), den)
+            dens.add(b.denominator)
+            negative += mono.valuation < 0
+            want = 1 if not mono.halves else max(
+                8, math.ceil((b - mono.valuation + 4) / min(mono.indices()))
+            )
+            assert _pi_window(mono, b) == want, (mono, b)
+            if b.denominator == 1:
+                assert _pi_window(mono, int(b)) == want, (mono, b)
+        assert {1, 2, 3, 8} <= dens and negative > 1000
+
 
 def _reference_first_mismatch(s_l, s_r, start, scale, count):
     """The coefficient-by-coefficient loop that _first_mismatch replaces."""
@@ -748,6 +768,54 @@ class TestFirstMismatch:
         s_l = S.from_terms({0: 1, 1: 1}, 2)
         s_r = S.from_terms({0: 1}, 20)
         assert _first_mismatch(s_l, s_r, 0, 1, 10) == (1, 1, 0)
+
+
+class TestMemoOrder:
+    """Proofs read shared expansion and cusp-order memos; order must not matter."""
+
+    # (lhs, rhs, indices): true identities, lifted by homogeneous Pi polynomials.
+    BASES = (
+        ("pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2", "4", (1, 2, 4)),
+        ("pi(2)^2 + 2*pi(2)*pi(6)", "pi(1)*pi(3) + 3*pi(6)^2", (1, 2, 3, 6)),
+        ("pi(1)^2*pi(8)", "pi(2)*(pi(4) + 2*pi(8))^2", (1, 2, 4, 8)),
+    )
+
+    def _records(self):
+        """Each base times two seeded polynomials, and a one-coefficient mutant of each."""
+        rng = random.Random(14)
+        recs = []
+        for i, (lhs, rhs, indices) in enumerate(self.BASES):
+            for degree, cls in ((3, 0), (4, 1)):
+                pool = [m for m in itertools.combinations_with_replacement(indices, degree)
+                        if sum(m) % 4 == cls]
+                monos = rng.sample(pool, min(len(pool), 4))
+                coeffs = [rng.randint(1, 9) for _ in monos]
+
+                def poly(cs):
+                    return " + ".join(
+                        f"{c}*" + "*".join(f"pi({n})" for n in m) for m, c in zip(monos, cs)
+                    )
+
+                bumped = [coeffs[0] + 1] + coeffs[1:]
+                label = f"b{i}-d{degree}"
+                recs.append(parse_identity(
+                    f"({lhs})*({poly(coeffs)}) = ({rhs})*({poly(coeffs)})", id=label
+                ))
+                recs.append(parse_identity(
+                    f"({lhs})*({poly(bumped)}) = ({rhs})*({poly(coeffs)})", id=label + "-mut"
+                ))
+        return recs
+
+    def test_reverse_order_gives_the_same_reports(self):
+        recs = self._records()
+        assert len(recs) == 12
+        verify_module._cusp_row.cache_clear()
+        verify_module._cusp_list.cache_clear()
+        _expansion.cache_clear()
+        forward = [prove(r) for r in recs]
+        backward = [prove(r) for r in reversed(recs)]
+        assert [repr(r) for r in backward[::-1]] == [repr(r) for r in forward]
+        assert [r.verdict for r in forward] == ["PROVEN", "REFUTED"] * 6
 
 
 class TestSquaringRound:
