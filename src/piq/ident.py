@@ -16,9 +16,15 @@ Standard precedence, left associativity, whitespace insensitive.  After a
 ``^`` the slash is part of the rational exponent (``pi(1)^3/2`` is the
 3/2 power); elsewhere ``/`` is division.
 
-``sqrt(pi(n))`` and ``pi(n)^1/2`` are canonicalized identically.  A sqrt of
-anything larger than a single Pi atom is kept as an opaque radical and is
-eliminated by the proof engine's single squaring round.
+``sqrt(pi(n))`` and ``pi(n)^1/2`` are canonicalized identically.  A
+half-integer *power* of any one Pi monomial with integer exponents and a
+rational square root of its coefficient is distributed onto the exponents,
+but ``sqrt()`` of anything larger than a single Pi atom, a composite
+monomial included, is kept as an opaque radical and is eliminated by the
+proof engine's single squaring round.  So
+``(pi(1)/pi(9))^1/2*pi(9) = pi(1)^1/2*pi(9)^1/2`` cancels symbolically,
+while the same identity written with ``sqrt(pi(1)/pi(9))`` is proven
+through the squaring round.
 """
 
 from __future__ import annotations
@@ -767,11 +773,6 @@ class _Frac:
 
     def __mul__(self, other):
         return _Frac(ts_mul(self.num, other.num), ts_mul(self.den, other.den))
-
-    def inv(self):
-        if not self.num:
-            raise NotPolynomializable("division by a symbolically zero expression")
-        return _Frac(self.den, self.num)
 
 
 def _frac_one():

@@ -174,10 +174,10 @@ class _EisensteinCombo:
         return lcm(*(d for d, _ in self.terms)) if self.terms else 1
 
     def expand(self, terms: int) -> ScaledSeries:
-        out = ScaledSeries.from_terms({0: c for c in self._constant()}, terms)
-        for d, a in self.terms:
-            out = out + expand_lambert(LambertSpec(f"E{self.weight}", d), terms) * a
-        return out
+        # The constant part, even a zero one, keeps the sum's bound at terms.
+        parts = [(1, ScaledSeries.from_terms({0: c for c in self._constant()}, terms))]
+        parts += [(a, expand_lambert(LambertSpec(f"E{self.weight}", d), terms)) for d, a in self.terms]
+        return ScaledSeries.linear_sum(parts)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ such).
 The constructor divides D by the gcd of the numerators present and the
 denominator by the gcd of the stored integers, so equality testing is
 representation independent.  Sums of many series share one integer
-accumulator (:meth:`ScaledSeries.linear_sum`).
+accumulator (:meth:`ScaledSeries.linear_sum`), and every power that is not a
+positive integer runs one recurrence (:meth:`ScaledSeries.pow`).
 """
 
 from __future__ import annotations
@@ -354,8 +355,10 @@ class ScaledSeries:
     def pow(self, e, terms: int | None = None) -> "ScaledSeries":
         """Formal power self**e for a rational exponent.
 
-        Fractional exponents take the branch whose leading coefficient is the
-        rational real root of the input's leading coefficient.  For an exact
+        A positive integer is binary exponentiation over the product; every
+        other exponent, inverses and roots included, runs one binomial-series
+        recurrence.  Fractional exponents take the branch whose leading
+        coefficient is the rational real root of the input's.  For an exact
         (infinite-bound) base whose power is not a polynomial, ``terms`` sets
         the window of the truncated result.
         """
@@ -364,16 +367,14 @@ class ScaledSeries:
             if not self._nums:
                 raise NotInvertible("0^0 is undefined for a series with no known leading term")
             return ScaledSeries.one()
-        if e.denominator == 1 and e > 0 and self._bound == INF:
-            # Polynomial case: binary exponentiation, exact result.
-            result = ScaledSeries.one()
-            base = self
-            n = int(e)
+        if e.denominator == 1 and e > 0:
+            result, acc, n = None, self, int(e)
             while n:
                 if n & 1:
-                    result = result * base
-                base = base * base if n > 1 else base
+                    result = acc if result is None else result * acc
                 n >>= 1
+                if n:
+                    acc = acc * acc
             return result
         if not self._nums:
             if e < 0:
@@ -382,37 +383,13 @@ class ScaledSeries:
                 )
             # |f| = O(q^bound) implies |f^e| = O(q^(e*bound)).
             return ScaledSeries.zero(self._bound * e)
-        if e.denominator == 1:
-            # Integer powers: binary exponentiation over the (fast) product;
-            # negative powers invert the unit part by the standard recurrence.
-            n = int(e)
-            base = self
-            if self._bound == INF:
-                if terms is None:
-                    raise InsufficientPrecision(
-                        "power of an exact series is not a polynomial; pass terms= to truncate"
-                    )
-                base = self.truncated(self.valuation() + Fraction(terms))
-            if n < 0:
-                base = base._unit_inverse()
-                n = -n
-            result = None
-            acc = base
-            while n:
-                if n & 1:
-                    result = acc if result is None else result * acc
-                n >>= 1
-                if n:
-                    acc = acc * acc
-            return result
         x0, c0, g, u = self._unit_part()
-        ell = e.denominator
+        p, ell = e.numerator, e.denominator
         root = _rational_nth_root(c0, ell)
         if root is None:
             raise NonRootLeadingCoefficient(
                 f"leading coefficient {c0} has no rational {ell}-th root"
             )
-        lead = root ** e.numerator
         if self._bound == INF:
             if terms is None:
                 raise InsufficientPrecision(
@@ -421,22 +398,28 @@ class ScaledSeries:
             window = Fraction(terms)
         else:
             window = self._bound - x0
-        # Binomial-series recurrence on (1+u)^e with u = self/(c0 q^x0) - 1:
-        #   n*b_n = sum_{k=1..n} ((e+1)k - n) u_k b_{n-k},  b_0 = 1.
-        K = math.ceil(window * self._scale / g)
-        b = [Fraction(0)] * max(K, 1)
-        b[0] = Fraction(1)
+        # Binomial-series recurrence on (1+u)^e with u = self/(c0 q^x0) - 1
+        # and e = p/ell (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7):
+        #   n*ell*b_n = sum_{k=1..n} ((p+ell)k - n*ell) u_k b_{n-k},  b_0 = 1.
+        # An integer e over integral u_k keeps every b_n integral, so the
+        # division is exact on ints; anything else runs on Fractions.
+        integral = ell == 1 and all(c.denominator == 1 for c in u.values())
+        steps = [(k, (p + ell) * k, c.numerator if integral else c) for k, c in u.items()]
+        K = max(math.ceil(window * self._scale / g), 1)
+        b = [1] + [0] * (K - 1)
         for n in range(1, K):
-            s = Fraction(0)
-            for k, uk in u.items():
+            s, m = 0, n * ell
+            for k, pk, uk in steps:
                 if k > n:
                     break
-                s += ((e + 1) * k - n) * uk * b[n - k]
+                if b[n - k]:
+                    s += (pk - m) * uk * b[n - k]
             if s:
-                b[n] = s / n
+                b[n] = s // m if integral else s / m
+        lead = root**p
         out = {}
         for k, c in enumerate(b):
-            if c != 0:
+            if c:
                 out[x0 * e + Fraction(k * g, self._scale)] = lead * c
         return ScaledSeries.from_terms(out, x0 * e + window)
 
@@ -451,41 +434,8 @@ class ScaledSeries:
         u = {(n - n0) // g: Fraction(x, a0) for n, x in rest}
         return Fraction(n0, self._scale), Fraction(a0, self._den), g, u
 
-    def _unit_inverse(self) -> "ScaledSeries":
-        """Multiplicative inverse, window-preserving; requires a finite bound."""
-        if not self._nums:
-            raise NotInvertible("no nonzero leading coefficient within tracked precision")
-        if self._bound == INF:
-            raise InsufficientPrecision("inverse of an exact series needs a truncation")
-        x0, c0, g, u = self._unit_part()
-        window = self._bound - x0
-        K = max(math.ceil(window * self._scale / g), 1)
-        if all(c.denominator == 1 for c in u.values()):
-            u = {k: c.numerator for k, c in u.items()}
-        b: list = [0] * K
-        b[0] = 1
-        for n in range(1, K):
-            s = 0
-            for k, uk in u.items():
-                if k > n:
-                    break
-                if b[n - k]:
-                    s -= uk * b[n - k]
-            b[n] = s
-        inv_c0 = 1 / c0
-        out = {}
-        for k, c in enumerate(b):
-            if c != 0:
-                out[-x0 + Fraction(k * g, self._scale)] = inv_c0 * c
-        return ScaledSeries.from_terms(out, -x0 + window)
-
     def sqrt(self, terms: int | None = None) -> "ScaledSeries":
         return self.pow(Fraction(1, 2), terms)
-
-    def truncated(self, bound) -> "ScaledSeries":
-        """Forget knowledge beyond the given exponent bound."""
-        bound = min(self._bound, _frac(bound) if bound != INF else INF)
-        return ScaledSeries(self._scale, self._nums, bound, self._den)
 
 
 def psi_expansion(terms: int) -> ScaledSeries:

@@ -50,6 +50,29 @@ class TestExpand:
         assert out.splitlines() == lines
 
     @pytest.mark.parametrize(
+        "dsl,lines",
+        [
+            ("(pi(1)+pi(2))^-2",
+             ["-1/2 1", "-1/4 -2", "0 3", "1/4 -4", "1/2 1", "3/4 6", "1 -17", "5/4 32"]),
+            # Corpus L12-2's quotient.
+            ("(pi(2) - pi(6))/(pi(2) + 3*pi(6))",
+             ["0 1", "1 -4", "2 12", "3 -28", "4 60", "5 -120", "6 228", "7 -416"]),
+            # Leading coefficient 1/2: the ratios to it are integral.
+            ("(1/2+pi(1))^-4",
+             ["0 16", "1/4 -128", "1/2 640", "3/4 -2560", "1 8960", "5/4 -28928",
+              "3/2 88576", "7/4 -261120"]),
+            # Ratio 6/5 to the leading coefficient: the recurrence runs on Fractions.
+            ("(1/3*pi(1) + 2/5*pi(2))^-3",
+             ["-3/4 27", "-1/2 -486/5", "-1/4 5832/25", "0 -11664/25", "1/4 84726/125",
+              "1/2 -1978992/3125", "3/4 -1178064/15625", "1 165302208/78125"]),
+        ],
+    )
+    def test_negative_powers(self, capsys, dsl, lines):
+        code, out, _ = run(capsys, "expand", dsl, "--terms", "8")
+        assert code == 0
+        assert out.splitlines() == lines
+
+    @pytest.mark.parametrize(
         "dsl,error",
         [("(pi(1)-pi(1))^-1", "NotInvertible: "), ("sqrt(-pi(1))", "NonRootLeadingCoefficient: ")],
     )

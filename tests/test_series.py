@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -425,3 +426,89 @@ def test_sparse_storage_of_a_substituted_pi():
     s = PiMonomial.make({2000: 1}).expand(8)
     assert len(s.nums) == 7
     assert (s.scale, s.den, s.valuation()) == (1, 1, 500)
+
+
+# ---------------------------------------------------------------------------
+# Negative integer powers against the truncate-invert-power algorithm
+# ---------------------------------------------------------------------------
+
+
+def _reference_negative_power(s, n, terms=None):
+    """s**(-n) the long way: truncate an exact base at valuation + terms,
+    invert its unit part by the geometric recurrence (on ints when every
+    ratio to the leading coefficient is integral), then binary powering."""
+    if s.bound == INF:
+        s = S(s.scale, s.nums, s.valuation() + terms, s.den)
+    (n0, a0), *rest = s.nums.items()
+    g = math.gcd(*(m - n0 for m, _ in rest)) or s.scale
+    u = {(m - n0) // g: F(x, a0) for m, x in rest}
+    if all(c.denominator == 1 for c in u.values()):
+        u = {k: c.numerator for k, c in u.items()}
+    x0, c0 = F(n0, s.scale), F(a0, s.den)
+    window = s.bound - x0
+    b = [0] * max(math.ceil(window * s.scale / g), 1)
+    b[0] = 1
+    for i in range(1, len(b)):
+        b[i] = -sum(uk * b[i - k] for k, uk in u.items() if k <= i)
+    inv = S.from_terms(
+        {-x0 + F(k * g, s.scale): c / c0 for k, c in enumerate(b) if c}, -x0 + window
+    )
+    result, acc = None, inv
+    while n:
+        if n & 1:
+            result = acc if result is None else result * acc
+        n >>= 1
+        if n:
+            acc = acc * acc
+    return result
+
+
+def _random_base(rng, integral):
+    """A series with 1-8 terms on a lattice 1/scale, scale in 1..24, with a
+    possibly negative valuation, a step gcd that may exceed 1, and unit
+    ratios that are integral or not as asked."""
+    scale = rng.randint(1, 24)
+    den = rng.choice([1, 2, 3, 5, 6, 24])
+    step = rng.choice([1, 1, 2, 3, 5])
+    n0 = rng.randint(-30, 30)
+    a0 = rng.choice([1, -1, 2, -3, 4] if integral else [2, 3, -5, 7, 12])
+    nums = {n0: a0}
+    for _ in range(rng.randint(0, 7)):
+        x = rng.randint(-9, 9)
+        nums[n0 + step * rng.randint(1, 12)] = a0 * x if integral else x
+    if rng.random() < 0.3:
+        bound = INF
+    else:
+        bound = F(n0, scale) + F(rng.randint(1, 24), rng.choice([1, 2, 3, scale]))
+    return S(scale, nums, bound, den)
+
+
+@pytest.mark.parametrize("integral", [True, False], ids=["integral-ratios", "rational-ratios"])
+def test_negative_power_matches_truncate_invert_power(integral):
+    rng = random.Random(20211 + integral)
+    seen = set()
+    for _ in range(200):
+        s = _random_base(rng, integral)
+        n = rng.randint(1, 6)
+        terms = rng.randint(1, 14) if s.bound == INF else None
+        got, want = s.pow(-n, terms=terms), _reference_negative_power(s, n, terms)
+        assert (got.scale, got.den, tuple(got.nums.items()), got.bound) == (
+            want.scale, want.den, tuple(want.nums.items()), want.bound
+        ), (s, n, terms)
+        seen.add((s.bound == INF, s.valuation() < 0, got.den > 1))
+    assert len(seen) == 8  # every (exact, negative valuation, fractional) mix ran
+
+
+def test_power_errors_keep_their_messages():
+    with pytest.raises(NotInvertible, match="^negative power of a series with zero leading"):
+        S.zero(6).pow(-2)
+    with pytest.raises(NotInvertible, match="^negative power of a series with zero leading"):
+        S.zero(6).pow(F(-1, 2))
+    with pytest.raises(NotInvertible, match=r"^0\^0 is undefined"):
+        S.zero(6).pow(0)
+    with pytest.raises(InsufficientPrecision, match="^power of an exact series is not a polynomial"):
+        S.from_terms({0: 2, 1: 1}, INF).pow(-3)
+    with pytest.raises(InsufficientPrecision, match="^power of an exact series is not a polynomial"):
+        S.from_terms({0: 4, 1: 1}, INF).pow(F(1, 2))
+    with pytest.raises(NonRootLeadingCoefficient, match="^leading coefficient 3 has no rational 2-th root$"):
+        S.from_terms({0: 3, 1: 1}, 5).pow(F(-3, 2))

@@ -85,6 +85,26 @@ class TestProve:
         assert any("squaring" in c for c in cites)
         assert any("branch comparison" in c for c in cites)
 
+    def test_half_power_distributes_but_sqrt_of_a_monomial_stays_a_radical(self):
+        """A half-integer power of a Pi monomial goes onto its exponents, while
+        sqrt() of anything but one Pi atom stays a radical for the squaring
+        round, so the two spellings of L12-3 reach different certificates."""
+        sides = [
+            ("sqrt(pi(2)*pi(6))", "sqrt(pi(1)*pi(3))", "L12-3\tPROVEN\t6\t12\t1\t13\t13", True),
+            ("(pi(2)*pi(6))^1/2", "(pi(1)*pi(3))^1/2", "L12-3\tPROVEN\t3\t24\t2\t13\t13", False),
+        ]
+        for left, right, line, squared in sides:
+            rep = prove(parse_identity(
+                f"{left}*(pi(1)^2 - 3*pi(3)^2) = {right}*(pi(2)^2 + 3*pi(6)^2)", id="L12-3"
+            ))
+            assert rep.tsv_line() == line
+            assert squared == any("squaring" in c for c in rep.certificate.citations)
+        rep = prove(parse_identity("(pi(1)/pi(9))^1/2*pi(9) = pi(1)^1/2*pi(9)^1/2", id="h"))
+        assert rep.detail == "sides cancel symbolically"
+        rep = prove(parse_identity("sqrt(pi(1)/pi(9))*pi(9) = pi(1)^1/2*pi(9)^1/2", id="s"))
+        assert rep.verdict == "PROVEN" and rep.detail != "sides cancel symbolically"
+        assert any("squaring" in c for c in rep.certificate.citations)
+
     def test_mutated_constant_refuted(self):
         rep = prove(parse_identity("pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 5", id="bad"))
         assert rep.verdict == "REFUTED"
