@@ -23,7 +23,7 @@ from .errors import PiqError, Unbounded
 from .etaq import PiMonomial, index_gamma0
 from .ident import parse_identity
 from .linalg import kernel_basis, rank, series_window_matrix
-from .verify import ProofReport, _pi_series, prove, sturm_bound
+from .verify import ProofReport, prove, sturm_bound
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def mine(query: DiscoveryQuery) -> list[DiscoveredRelation]:
             if len(monomials) < 2:
                 continue
             base = min(m.valuation for m in monomials)
-            columns = [_pi_series(m, base + rows + 1) for m in monomials]
+            columns = [m.expand_to(base + rows + 1) for m in monomials]
             kernel = kernel_basis(series_window_matrix(columns, rows))
             if not kernel:
                 continue

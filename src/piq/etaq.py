@@ -8,7 +8,9 @@ Pi_{q^n} = eta(2nz)^4 / eta(nz)^2.
 The module evaluates the classical modularity conditions (the two mod-24
 congruences), enumerates canonical cusp representatives of Gamma_0(N), and
 computes exact rational vanishing orders at cusps, both from the eta-quotient
-side and directly from Pi-exponent data.
+side and directly from Pi-exponent data.  ``EtaQuotient.expand`` is the one
+expansion kernel; Pi monomials reach it through the memo ``_expansion``, and
+only ``PiMonomial.expand_to`` turns an exponent bound into kernel steps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import LevelMismatch, PreconditionViolated
-from .series import INF, ScaledSeries, _frac
+from .series import ScaledSeries, _frac
 
 
 def divisors(n: int) -> list[int]:
@@ -150,16 +152,10 @@ class EtaQuotient:
         return Fraction(sum(r for _, r in self.exponents), 2)
 
     def expand(self, terms: int) -> ScaledSeries:
-        """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms))."""
-        return ScaledSeries(*self.numerators(terms))
+        """q-expansion of prod eta(delta*z)^r_delta, known modulo O(q^(v + min(delta)*terms)).
 
-    def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
-        """The expansion as (scale, {numerator: integer coefficient}, bound).
-
-        The coefficient of q^(n/scale) is stored under n, in increasing order
-        of n, and the series is known modulo O(q^bound), bound =
-        v + min(delta)*terms, where v = sum r_delta delta / 24 is the
-        valuation.  The product part
+        The coefficient of q^(n/scale) is an integer, and v = sum r_delta
+        delta / 24 is the valuation.  The product part
         prod (q^delta; q^delta)_oo^r_delta is a power series in Q = q^g with
         g = gcd(delta); its coefficients obey the log-derivative recurrence
         (Knuth, TAOCP vol. 2, 4.7)
@@ -172,7 +168,7 @@ class EtaQuotient:
         if terms < 1:
             raise ValueError("terms must be >= 1")
         if not self.exponents:
-            return 1, {0: 1}, INF
+            return ScaledSeries.one()
         deltas = [delta for delta, _ in self.exponents]
         g = math.gcd(*deltas)
         window = min(deltas) * terms
@@ -196,7 +192,7 @@ class EtaQuotient:
         v = Fraction(sum(r * delta for delta, r in self.exponents), 24)
         step = g * v.denominator
         nums = {v.numerator + step * n: x for n, x in enumerate(a) if x}
-        return v.denominator, nums, v + window
+        return ScaledSeries(v.denominator, nums, v + window)
 
 
 @dataclass(frozen=True, repr=False)
@@ -299,15 +295,20 @@ class PiMonomial:
         """
         return _expansion(self.halves, terms)
 
-    def numerators(self, terms: int) -> tuple[int, dict[int, int], object]:
-        """The expansion of :meth:`expand` as (scale, {numerator: int}, bound).
+    def expand_to(self, min_bound) -> ScaledSeries:
+        """The shared expansion that stops less than one kernel step past min_bound + 4.
 
-        As there, ``terms`` counts steps of q^min(indices), not q-exponents.
-        Numerators come in increasing order, as from ``EtaQuotient.numerators``.
+        The one rule from an exponent bound to kernel steps: with min_bound =
+        p/q and valuation S/8, S = sum n*2k, ceil((p/q - S/8 + 4) / min(index))
+        steps, at least 8, in integers; 1 for the exact empty monomial.
         """
-        if not self.halves:
-            return 1, {0: 1}, INF
-        return pi_to_eta(self, 2 * math.lcm(*self.indices())).numerators(terms)
+        halves = self.halves
+        if not halves:
+            return _expansion(halves, 1)
+        p, q = min_bound.numerator, min_bound.denominator
+        s = sum(n * h for n, h in halves)
+        # halves is sorted by index, so its first index is the smallest.
+        return _expansion(halves, max(8, -((q * s - 8 * p - 32 * q) // (8 * q * halves[0][0]))))
 
 
 # Distinct (halves, terms) expansions the memo keeps; one lifted_mix pass of
@@ -318,7 +319,9 @@ EXPANSION_MEMO_SIZE = 1024
 @functools.lru_cache(maxsize=EXPANSION_MEMO_SIZE)
 def _expansion(halves: tuple[tuple[int, int], ...], terms: int) -> ScaledSeries:
     """``PiMonomial(halves).expand(terms)``, memoized; ScaledSeries is immutable."""
-    return ScaledSeries(*PiMonomial(halves).numerators(terms))
+    if not halves:
+        return ScaledSeries.one()
+    return pi_to_eta(PiMonomial(halves), 2 * math.lcm(*(n for n, _ in halves))).expand(terms)
 
 
 @dataclass(frozen=True)

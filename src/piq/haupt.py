@@ -29,8 +29,13 @@ from .ident import (
     Const,
     Expr,
     IdentityRecord,
+    Lambert,
     Mul,
+    Neg,
+    Pi,
     Pow,
+    Sqrt,
+    Subst,
     _pi_factor,
     evaluate_to_bound,
     parse_expression,
@@ -177,8 +182,6 @@ def _poly_expr(coeffs: Sequence[int], h: Expr) -> Expr:
 def _expr_weight(expr: Expr) -> Fraction:
     if isinstance(expr, Const):
         return Fraction(0)
-    from .ident import Lambert, Neg, Pi, Sqrt, Subst
-
     if isinstance(expr, Pi):
         return Fraction(1)
     if isinstance(expr, Neg):

@@ -476,7 +476,8 @@ def evaluate(expr: Expr, terms: int) -> ScaledSeries:
     """Exact expansion of a DSL expression with an O(q^terms)-sized window.
 
     A subtree that is one Pi monomial is expanded by a single eta-quotient
-    recurrence; sums and Lambert atoms combine their children's series.
+    recurrence of ``terms`` kernel steps (``evaluate_to_bound`` takes an
+    exponent bound); sums and Lambert atoms combine their children's series.
     """
     folded = _pi_factor(expr)
     if folded is not None:
@@ -505,15 +506,23 @@ def evaluate(expr: Expr, terms: int) -> ScaledSeries:
 
 
 def evaluate_to_bound(expr: Expr, min_bound) -> ScaledSeries:
-    """Evaluate with enough window that the result bound reaches min_bound."""
+    """Evaluate with enough window that the result bound reaches min_bound.
+
+    One Pi monomial goes straight to ``PiMonomial.expand_to``; anything else
+    grows an ``evaluate`` window until the bound is met.
+    """
     min_bound = _frac(min_bound)
+    folded = _pi_factor(expr)
+    if folded is not None:
+        coef, mono = folded
+        s = mono.expand_to(min_bound)
+        return s if coef == 1 else s * coef
     t = max(8, math.ceil(min_bound) + 4)
     while True:
         s = evaluate(expr, t)
         if s.bound == INF or s.bound >= min_bound:
             return s
-        deficit = math.ceil(min_bound - s.bound) + 2
-        t += max(4, deficit)
+        t += max(4, math.ceil(min_bound - s.bound) + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -434,9 +434,6 @@ class ScaledSeries:
         u = {(n - n0) // g: Fraction(x, a0) for n, x in rest}
         return Fraction(n0, self._scale), Fraction(a0, self._den), g, u
 
-    def sqrt(self, terms: int | None = None) -> "ScaledSeries":
-        return self.pow(Fraction(1, 2), terms)
-
 
 def psi_expansion(terms: int) -> ScaledSeries:
     """Ramanujan theta psi(q) = sum q^(n(n+1)/2), known modulo O(q^terms)."""

@@ -39,10 +39,11 @@ The pipeline for :func:`prove`:
     spaces M_k(N, chi), the identity holds iff every group's two sums agree,
     and each group's difference lies in one M_k(N, chi), whose Sturm bound
     is that of Gamma_0(N) (Stein, Cor. 9.19).  Each group's sides are
-    expanded to at most min(index) + 4 exponents past the bound
-    floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1 (a Pi-monomial's expansion runs
-    in steps of q^min(index)) and compared below it on the integer
-    numerators of their difference.
+    expanded past the bound floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1, every
+    Pi monomial by ``PiMonomial.expand_to``, which stops less than one
+    kernel step of q^min(index) past the bound + 4, and every radicand as a
+    term sum of its own; the sides are compared below the bound on the
+    integer numerators of their difference.
 """
 
 from __future__ import annotations
@@ -257,53 +258,19 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _pi_window(mono: PiMonomial, min_bound) -> int:
-    """Kernel steps (of q^min(index)) that carry the expansion to min_bound + 4.
-
-    The expansion is known to valuation + min(index) * steps, so it stops
-    less than one step past min_bound + 4 unless the floor of 8 steps holds.
-    With min_bound = p/q and valuation S/8, S = sum n*2k, the step count
-    ceil((p/q - S/8 + 4) / min(index)) is taken in integers.
-    """
-    halves = mono.halves
-    if not halves:
-        return 1
-    p, q = min_bound.numerator, min_bound.denominator
-    s = sum(n * h for n, h in halves)
-    # halves is sorted by index, so its first index is the smallest.
-    return max(8, -((q * s - 8 * p - 32 * q) // (8 * q * halves[0][0])))
-
-
-def _pi_series(mono: PiMonomial, min_bound) -> ScaledSeries:
-    """Expansion of a Pi-monomial with bound at least min_bound."""
-    return mono.expand(_pi_window(mono, min_bound))
-
-
-def _pi_sum(pairs, min_bound: Fraction) -> ScaledSeries:
-    """Expansion of sum coef * mono over (coef, mono) pairs, bound at least min_bound.
-
-    The parts are expanded one at a time into ``ScaledSeries.linear_sum``'s
-    integer accumulator, so a long sum never holds all its expansions.
-    """
-    return ScaledSeries.linear_sum(
-        (coef, _pi_series(mono, min_bound)) for coef, mono in pairs if coef
-    )
-
-
 def _term_series(t: Term, min_bound: Fraction, roots: dict) -> ScaledSeries:
     """Expansion of a term without its coefficient.
 
     ``roots`` maps each radical to its square root at this min_bound, so a
     radical shared by several terms is rooted once.
     """
-    s = _pi_series(t.pi, min_bound)
+    s = t.pi.expand_to(min_bound)
     window = max(1, math.ceil(min_bound))
     for combo in t.lamberts:
         s = s * combo.expand(window)
     for atom in t.sqrts:
         if atom not in roots:
-            inner = _pi_sum(((it.coef, it.pi) for it in atom.inner), min_bound)
-            roots[atom] = inner.pow(Fraction(1, 2), terms=window)
+            roots[atom] = _rts_sum(atom.inner, min_bound).pow(Fraction(1, 2), terms=window)
         s = s * roots[atom]
     return s
 

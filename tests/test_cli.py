@@ -42,6 +42,8 @@ class TestExpand:
             ("subst(pi(1),2000)", 2, ["500 1", "2500 2"]),
             ("pi(1)^2*subst(pi(3),7)", 5, ["23/4 1", "27/4 4", "31/4 6", "35/4 8", "39/4 13"]),
             ("3", 3, ["0 3", "1 0", "2 0"]),
+            ("pi(6000)", 2, ["1500 1", "7500 2"]),
+            ("subst(pi(1),6000)", 2, ["1500 1", "7500 2"]),
         ],
     )
     def test_stride_of_substituted_series(self, capsys, dsl, terms, lines):

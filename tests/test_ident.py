@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import piq
+import piq.etaq as etaq_module
 from piq.errors import (
     NonRootLeadingCoefficient,
     NotInvertible,
@@ -43,7 +45,6 @@ from piq.ident import (
 )
 from piq.quasimod import E2Combo, E4Combo, LambertSpec, expand_lambert
 from piq.series import ScaledSeries, psi_expansion
-from piq.verify import _pi_series
 
 
 class TestParse:
@@ -222,7 +223,7 @@ class TestEvaluate:
 
 
 def _term_series(t, bound):
-    s = _pi_series(t.pi, bound) * t.coef
+    s = t.pi.expand_to(bound) * t.coef
     for spec in t.lamberts:
         s = s * expand_lambert(spec, max(1, int(bound) + 1))
     assert not t.sqrts
@@ -390,6 +391,53 @@ class TestPiMonomialFold:
         rng = random.Random(20211)
         for _ in range(60):
             self.assert_agrees(_random_monomial_expr(rng), rng.randint(1, 16))
+
+    @staticmethod
+    def assert_to_bound(expr, b):
+        """evaluate_to_bound of a folded monomial reaches b, stops within one
+        kernel step of b + 4 (or at the floor of 8 steps), and agrees with the
+        generic evaluation below the smaller bound."""
+        _, mono = _pi_factor(expr)
+        got = evaluate_to_bound(expr, b)
+        ref = _reference_evaluate(expr, max(1, math.ceil(b) + 4))
+        assert (got - ref).is_zero(), (to_dsl(expr), b)
+        if not mono.halves:
+            assert got.bound == math.inf
+            return
+        step = min(mono.indices())
+        assert got.bound >= b + 4, (to_dsl(expr), b)
+        assert got.bound < b + 4 + step or got.bound == mono.valuation + 8 * step, (to_dsl(expr), b)
+
+    BOUNDS = (F(-3, 2), 0, F(7, 3), 17, 40)
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned_to_bound(self, text):
+        for b in self.BOUNDS:
+            self.assert_to_bound(parse_expression(text), F(b))
+
+    def test_seeded_random_products_to_bound(self):
+        rng = random.Random(20212)
+        for _ in range(60):
+            self.assert_to_bound(_random_monomial_expr(rng), F(rng.choice(self.BOUNDS)))
+
+    @pytest.mark.parametrize("text", ["pi(6000)", "subst(pi(1),6000)"])
+    def test_to_bound_asks_for_kernel_steps(self, text, monkeypatch):
+        # A bound of q^13500 is two steps of q^6000 past the valuation 1500,
+        # so the floor of 8 steps holds; an exponent read as a step count
+        # would run 13,504 steps.
+        steps = []
+        real = etaq_module._expansion
+
+        def recording(halves, terms):
+            steps.append(terms)
+            return real(halves, terms)
+
+        monkeypatch.setattr(etaq_module, "_expansion", recording)
+        s = evaluate_to_bound(parse_expression(text), 13500)
+        monkeypatch.undo()
+        assert steps and max(steps) <= 8
+        assert s.bound >= 13500
+        assert [s.coefficient(e) for e in (1500, 7500, 13500)] == [1, 2, 1]
 
     @pytest.mark.parametrize(
         "text,error",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import piq
+import piq.etaq as etaq_module
 import piq.verify as verify_module
 from piq.discover import _compositions, _relation_dsl
 from piq.errors import InsufficientPrecision
@@ -19,8 +20,6 @@ from piq.series import ScaledSeries as S
 from piq.verify import (
     _first_mismatch,
     _square_group,
-    _pi_series,
-    _pi_window,
     check,
     prove,
     root_match,
@@ -407,14 +406,14 @@ def _reference_rts_series(terms, min_bound):
     """rts_series as one Fraction series per term, added one by one."""
 
     def term_series(t, b):
-        s = _pi_series(t.pi, b) * t.coef
+        s = t.pi.expand_to(b) * t.coef
         window = max(1, math.ceil(b))
         for combo in t.lamberts:
             s = s * combo.expand(window)
         for atom in t.sqrts:
             inner = S.zero()
             for it in atom.inner:
-                inner = inner + _pi_series(it.pi, b) * it.coef
+                inner = inner + it.pi.expand_to(b) * it.coef
             s = s * inner.pow(F(1, 2), terms=window)
         return s
 
@@ -441,9 +440,10 @@ class TestRtsSeriesGuard:
         calls = []
         real = verify_module._rts_sum
 
-        def counting(terms, min_bound):
-            calls.append(min_bound)
-            return real(terms, min_bound)
+        def counting(ts, min_bound):
+            if ts is terms:  # not the radicand's own sum
+                calls.append(min_bound)
+            return real(ts, min_bound)
 
         monkeypatch.setattr(verify_module, "_rts_sum", counting)
         got = rts_series(terms, 40)
@@ -567,7 +567,7 @@ def _window_kernel(indices, degree, residue):
     monos = _half_exponent_classes(indices, degree)[residue]
     rows = sturm_bound(8 * math.lcm(*indices), degree) + 5
     base = min(m.valuation for m in monos)
-    columns = [_pi_series(m, base + rows + 1) for m in monos]
+    columns = [m.expand_to(base + rows + 1) for m in monos]
     return monos, kernel_basis(series_window_matrix(columns, rows))
 
 
@@ -657,24 +657,25 @@ class TestPiWindow:
     @staticmethod
     def _assert_tight(mono, b):
         b = F(b)
-        got = _pi_series(mono, b).bound
+        got = mono.expand_to(b).bound
         if not mono.halves:
             assert got == math.inf
             return
         assert got >= b + 4, (mono, b)
-        if _pi_window(mono, b) > 8:
-            assert got < b + 4 + min(mono.indices()), (mono, b)
+        step = min(mono.indices())
+        if got - mono.valuation > 8 * step:  # more than the floor of 8 kernel steps
+            assert got < b + 4 + step, (mono, b)
 
     @pytest.mark.parametrize("rid", ["L18-4", "La18-3", "L12-3"])
     def test_prover_windows(self, rid, monkeypatch):
         seen = []
-        real = verify_module._pi_series
+        real = PiMonomial.expand_to
 
         def recording(mono, min_bound):
             seen.append((mono, min_bound))
             return real(mono, min_bound)
 
-        monkeypatch.setattr(verify_module, "_pi_series", recording)
+        monkeypatch.setattr(PiMonomial, "expand_to", recording)
         rec = next(r for r in piq.load_corpus() if r.id == rid)
         assert prove(rec).verdict == "PROVEN"
         monkeypatch.undo()
@@ -689,8 +690,10 @@ class TestPiWindow:
             mono = _pm({n: F(rng.choice([-3, -2, -1, 1, 2, 3, 4, 6]), 2) for n in idx})
             self._assert_tight(mono, F(rng.randint(-20, 400), rng.choice([1, 2, 3, 4, 8])))
 
-    def test_integer_window_matches_fraction_formula(self):
-        # The old formula: ceil((b - valuation + 4) / min(index)), on Fractions.
+    def test_integer_window_matches_fraction_formula(self, monkeypatch):
+        # The Fraction formula: ceil((b - valuation + 4) / min(index)).  With
+        # the memo replaced by its step argument, expand_to returns its steps.
+        monkeypatch.setattr(etaq_module, "_expansion", lambda halves, terms: terms)
         rng = random.Random(20261020)
         dens, negative = set(), 0
         for _ in range(20000):
@@ -703,9 +706,9 @@ class TestPiWindow:
             want = 1 if not mono.halves else max(
                 8, math.ceil((b - mono.valuation + 4) / min(mono.indices()))
             )
-            assert _pi_window(mono, b) == want, (mono, b)
+            assert mono.expand_to(b) == want, (mono, b)
             if b.denominator == 1:
-                assert _pi_window(mono, int(b)) == want, (mono, b)
+                assert mono.expand_to(int(b)) == want, (mono, b)
         assert {1, 2, 3, 8} <= dens and negative > 1000
 
 
