@@ -51,7 +51,6 @@ from .quasimod import (
 )
 from .ident import (
     IdentityRecord,
-    evaluate,
     evaluate_to_bound,
     parse,
     parse_corpus,

@@ -28,6 +28,7 @@ from .ident import (
     Pow,
     Sqrt,
     Subst,
+    _frac_str,
     evaluate_to_bound,
     parse_corpus,
     parse_expression,
@@ -166,10 +167,7 @@ def cmd_expand(args) -> int:
         return EXIT_MATH
     for i in range(args.terms):
         e = start + step * i
-        c = series.coefficient(e)
-        e_str = str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-        c_str = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        print(f"{e_str} {c_str}")
+        print(f"{_frac_str(e)} {_frac_str(series.coefficient(e))}")
     return EXIT_OK
 
 

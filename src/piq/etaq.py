@@ -9,8 +9,9 @@ The module evaluates the classical modularity conditions (the two mod-24
 congruences), enumerates canonical cusp representatives of Gamma_0(N), and
 computes exact rational vanishing orders at cusps, both from the eta-quotient
 side and directly from Pi-exponent data.  ``EtaQuotient.expand`` is the one
-expansion kernel; Pi monomials reach it through the memo ``_expansion``, and
-only ``PiMonomial.expand_to`` turns an exponent bound into kernel steps.
+expansion kernel.  ``PiMonomial.expand_to`` is the one route from a Pi
+monomial to its series: it turns an exponent bound into kernel steps and
+reaches the kernel through the memo ``_expansion``.
 """
 
 from __future__ import annotations
@@ -281,26 +282,20 @@ class PiMonomial:
             raise ValueError("Pi index must be a positive integer")
         return PiMonomial(tuple((n * j, h) for n, h in self.halves))
 
-    def expand(self, terms: int) -> ScaledSeries:
-        """q-expansion through the eta quotient at level 2*lcm(indices).
-
-        ``terms`` counts steps of q^min(indices), the eta quotient's smallest
-        delta: one integer recurrence covers the whole product, so the result
-        is known modulo O(q^(valuation + min(indices)*terms)).
-
-        The result is shared: every request for the same monomial and
-        ``terms`` in one process gets the same immutable series, from a
-        memo of at most ``EXPANSION_MEMO_SIZE`` entries keyed on the integer
-        ``halves`` pairs.
-        """
-        return _expansion(self.halves, terms)
-
     def expand_to(self, min_bound) -> ScaledSeries:
-        """The shared expansion that stops less than one kernel step past min_bound + 4.
+        """q-expansion through the eta quotient at level 2*lcm(indices),
+        stopping less than one kernel step past min_bound + 4.
 
-        The one rule from an exponent bound to kernel steps: with min_bound =
-        p/q and valuation S/8, S = sum n*2k, ceil((p/q - S/8 + 4) / min(index))
-        steps, at least 8, in integers; 1 for the exact empty monomial.
+        A kernel step is q^min(indices), the eta quotient's smallest delta:
+        one integer recurrence covers the whole product.  This is the one rule
+        from an exponent bound to kernel steps: with min_bound = p/q and
+        valuation S/8, S = sum n*2k, ceil((p/q - S/8 + 4) / min(index)) steps,
+        at least 8, in integers; 1 for the exact empty monomial.
+
+        The result is shared: every request for the same monomial and step
+        count in one process gets the same immutable series, from a memo of
+        at most ``EXPANSION_MEMO_SIZE`` entries keyed on the integer
+        ``halves`` pairs.
         """
         halves = self.halves
         if not halves:
@@ -318,7 +313,7 @@ EXPANSION_MEMO_SIZE = 1024
 
 @functools.lru_cache(maxsize=EXPANSION_MEMO_SIZE)
 def _expansion(halves: tuple[tuple[int, int], ...], terms: int) -> ScaledSeries:
-    """``PiMonomial(halves).expand(terms)``, memoized; ScaledSeries is immutable."""
+    """``terms`` kernel steps of ``PiMonomial(halves)``, memoized; ScaledSeries is immutable."""
     if not halves:
         return ScaledSeries.one()
     return pi_to_eta(PiMonomial(halves), 2 * math.lcm(*(n for n, _ in halves))).expand(terms)

@@ -472,54 +472,51 @@ def _pi_factor(expr: Expr) -> Optional[tuple[Fraction, PiMonomial]]:
     return None
 
 
-def evaluate(expr: Expr, terms: int) -> ScaledSeries:
-    """Exact expansion of a DSL expression with an O(q^terms)-sized window.
+def _evaluate(expr: Expr, b: Fraction) -> ScaledSeries:
+    """Exact expansion of a DSL expression, each node asked for exponent bound b.
 
-    A subtree that is one Pi monomial is expanded by a single eta-quotient
-    recurrence of ``terms`` kernel steps (``evaluate_to_bound`` takes an
-    exponent bound); sums and Lambert atoms combine their children's series.
+    A subtree that is one Pi monomial is one ``PiMonomial.expand_to(b)``;
+    sums, products, negations, powers and roots pass b to their children, and
+    subst(., j) asks its child for b / j.  A child with a negative valuation
+    can leave the result short of b: ``evaluate_to_bound`` asks again.
     """
     folded = _pi_factor(expr)
     if folded is not None:
         coef, mono = folded
-        s = mono.expand(terms)
+        s = mono.expand_to(b)
         return s if coef == 1 else s * coef
     if isinstance(expr, Lambert):
-        return expand_lambert(expr.spec, terms)
+        # At least through q^8, as a folded monomial runs at least 8 kernel
+        # steps: a root or inverse of a sum needs its leading term.
+        return expand_lambert(expr.spec, max(8, math.ceil(b)))
     if isinstance(expr, Neg):
-        return -evaluate(expr.child, terms)
+        return -_evaluate(expr.child, b)
     if isinstance(expr, Add):
-        return ScaledSeries.linear_sum((1, evaluate(c, terms)) for c in expr.children)
+        return ScaledSeries.linear_sum((1, _evaluate(c, b)) for c in expr.children)
     if isinstance(expr, Mul):
         out = ScaledSeries.one()
         for c in expr.children:
-            out = out * evaluate(c, terms)
+            out = out * _evaluate(c, b)
         return out
-    if isinstance(expr, Pow):
-        return evaluate(expr.child, terms).pow(expr.e, terms=terms)
-    if isinstance(expr, Sqrt):
-        return evaluate(expr.child, terms).pow(Fraction(1, 2), terms=terms)
+    if isinstance(expr, (Pow, Sqrt)):
+        e = expr.e if isinstance(expr, Pow) else Fraction(1, 2)
+        return _evaluate(expr.child, b).pow(e, terms=max(1, math.ceil(b)))
     if isinstance(expr, Subst):
-        # q -> q^j stretches the child's window j-fold.
-        return evaluate(expr.child, -(-terms // expr.j)).subst_power(expr.j)
+        return _evaluate(expr.child, b / expr.j).subst_power(expr.j)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def evaluate_to_bound(expr: Expr, min_bound) -> ScaledSeries:
-    """Evaluate with enough window that the result bound reaches min_bound.
+    """Exact expansion of a DSL expression known at least through O(q^min_bound).
 
-    One Pi monomial goes straight to ``PiMonomial.expand_to``; anything else
-    grows an ``evaluate`` window until the bound is met.
+    Every node is asked for an exponent bound, starting at min_bound; the
+    bound grows only when negative valuations inside products, powers or
+    roots leave the result short of it.
     """
     min_bound = _frac(min_bound)
-    folded = _pi_factor(expr)
-    if folded is not None:
-        coef, mono = folded
-        s = mono.expand_to(min_bound)
-        return s if coef == 1 else s * coef
-    t = max(8, math.ceil(min_bound) + 4)
+    t = min_bound
     while True:
-        s = evaluate(expr, t)
+        s = _evaluate(expr, t)
         if s.bound == INF or s.bound >= min_bound:
             return s
         t += max(4, math.ceil(min_bound - s.bound) + 2)

@@ -65,7 +65,7 @@ from .ident import (
     IdentityRecord,
     Term,
     build_sides,
-    evaluate,
+    evaluate_to_bound,
     net_clearing_monomial,
     ts_add,
     ts_make,
@@ -646,21 +646,25 @@ def _proven_zero(terms, cfg: ProveConfig) -> bool:
 
 
 def check(rec: IdentityRecord, terms: int) -> ProofReport:
-    """Non-certifying comparison of the first `terms` lattice coefficients."""
+    """Non-certifying comparison of the first `terms` lattice coefficients.
+
+    Both sides are evaluated to q^(terms + 4), and once more to the grid's
+    end when the grid they fix runs past either bound."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
+
+    def sides(b):
+        s_l, s_r = evaluate_to_bound(rec.lhs, b), evaluate_to_bound(rec.rhs, b)
+        vals = [v for v in (s_l.valuation(), s_r.valuation()) if v is not None]
+        return s_l, s_r, min(vals, default=Fraction(0)), math.lcm(s_l.scale, s_r.scale)
+
     try:
-        window = terms + 4
-        for _ in range(8):
-            s_l = evaluate(rec.lhs, window)
-            s_r = evaluate(rec.rhs, window)
-            scale = math.lcm(s_l.scale, s_r.scale)
-            vals = [v for v in (s_l.valuation(), s_r.valuation()) if v is not None]
-            start = min(vals) if vals else Fraction(0)
-            need = start + Fraction(terms, scale)
-            if min(s_l.bound, s_r.bound) >= need:
-                break
-            window += max(4, math.ceil(need - min(s_l.bound, s_r.bound)) + 2)
+        s_l, s_r, start, scale = sides(terms + 4)
+        need = start + Fraction(terms, scale)
+        if min(s_l.bound, s_r.bound) < need:
+            # A wider window can only refine the lattice and lower start, so
+            # the second evaluation still reaches the grid's last point.
+            s_l, s_r, start, scale = sides(need)
         first = _first_mismatch(s_l, s_r, start, scale, terms)
         if first is not None:
             e, cl, cr = first

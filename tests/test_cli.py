@@ -3,6 +3,7 @@ import os
 import pytest
 
 import piq
+import piq.etaq as etaq
 from piq.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -51,6 +52,21 @@ class TestExpand:
         assert code == 0
         assert out.splitlines() == lines
 
+    def test_sum_of_far_apart_monomials_asks_for_few_steps(self, capsys, monkeypatch):
+        # Each pi(6000) reaches q^13500 in 8 steps of q^6000, not 13,504.
+        steps = []
+        real = etaq._expansion
+
+        def recording(halves, terms):
+            steps.append(terms)
+            return real(halves, terms)
+
+        monkeypatch.setattr(etaq, "_expansion", recording)
+        code, out, _ = run(capsys, "expand", "pi(6000) + pi(6000)", "--terms", "2")
+        assert code == 0
+        assert out.splitlines() == ["1500 2", "7500 4"]
+        assert steps and max(steps) <= 8
+
     @pytest.mark.parametrize(
         "dsl,lines",
         [
@@ -87,6 +103,20 @@ class TestExpand:
     def test_bad_dsl_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "pi(", "--terms", "3")
         assert code == 2 and "parse error" in err
+
+    def test_matches_golden_file(self, capsys):
+        # Each "> dsl" block holds the stdout lines ("  "), the stderr lines
+        # ("! ") and the exit code of `piq expand --terms 12 -- dsl`.
+        with open(os.path.join(DATA, "expand_terms12.txt"), encoding="utf-8") as fh:
+            golden = fh.read()
+        got = []
+        for dsl in (line[2:] for line in golden.splitlines() if line.startswith("> ")):
+            code, out, err = run(capsys, "expand", "--terms", "12", "--", dsl)
+            got.append(f"> {dsl}\n")
+            got.extend(f"  {line}\n" for line in out.splitlines())
+            got.extend(f"! {line}\n" for line in err.splitlines())
+            got.append(f"exit {code}\n")
+        assert "".join(got) == golden
 
 
 class TestVerify:
@@ -214,6 +244,14 @@ class TestVerify:
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", piq.corpus_path(), "--id", "NOPE")
         assert code == 2
+
+    def test_check_mode_corpus_matches_golden_file(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", piq.corpus_path(), "--mode", "check", "--terms", "30", "--report", "tsv"
+        )
+        assert code == 0
+        with open(os.path.join(DATA, "corpus_check_terms30.tsv"), encoding="utf-8") as fh:
+            assert out == fh.read()
 
     def test_check_mode(self, capsys):
         code, out, _ = run(

@@ -277,7 +277,7 @@ class TestExpand:
 
 
 class TestExpansionMemo:
-    """PiMonomial.expand serves one shared, bounded memo of immutable series."""
+    """PiMonomial.expand_to serves one shared, bounded memo of immutable series."""
 
     @staticmethod
     def _requests(seed, count):
@@ -294,21 +294,21 @@ class TestExpansionMemo:
         assert any(h < 0 for m, _ in requests for _, h in m.halves)
         assert any(h % 2 for m, _ in requests for _, h in m.halves)
         _expansion.cache_clear()
-        cold = [m.expand(t) for m, t in requests]
-        warm = [m.expand(t) for m, t in requests]
+        cold = [_expansion(m.halves, t) for m, t in requests]
+        warm = [_expansion(m.halves, t) for m, t in requests]
         for (m, t), a, b in zip(requests, cold, warm):
             want = _fields(pi_to_eta(m, 2 * math.lcm(*m.indices())).expand(t))
             assert _fields(a) == want == _fields(b), (m, t)
 
     def test_requests_share_one_object(self):
         for m, t in self._requests(7, 40):
-            assert m.expand(t) is m.expand(t)
-            assert PiMonomial(m.halves).expand(t) is m.expand(t)
+            assert _expansion(m.halves, t) is _expansion(m.halves, t)
+            assert PiMonomial(m.halves).expand_to(t) is m.expand_to(t)
 
     def test_memo_stays_bounded(self):
         _expansion.cache_clear()
         for h in range(1, EXPANSION_MEMO_SIZE + 100):
-            PiMonomial.make({1: F(h, 2)}).expand(2)
+            _expansion(PiMonomial.make({1: F(h, 2)}).halves, 2)
         info = _expansion.cache_info()
         assert info.misses > EXPANSION_MEMO_SIZE
         assert info.currsize <= info.maxsize == EXPANSION_MEMO_SIZE

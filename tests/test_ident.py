@@ -26,7 +26,6 @@ from piq.ident import (
     Subst,
     _pi_factor,
     build_sides,
-    evaluate,
     evaluate_to_bound,
     parse_corpus,
     parse_expression,
@@ -199,7 +198,7 @@ class TestCorpusFile:
 
 class TestEvaluate:
     def test_pi_1(self):
-        s = evaluate(parse_expression("pi(1)"), 10)
+        s = evaluate_to_bound(parse_expression("pi(1)"), 10)
         assert [(e, c) for e, c in list(s.items())[:4]] == [
             (F(1, 4), F(1)),
             (F(5, 4), F(2)),
@@ -208,7 +207,7 @@ class TestEvaluate:
         ]
 
     def test_const(self):
-        s = evaluate(parse_expression("4"), 5)
+        s = evaluate_to_bound(parse_expression("4"), 5)
         assert dict(s.items()) == {F(0): F(4)}
 
     def test_l16_1_difference_vanishes_to_40(self):
@@ -218,7 +217,7 @@ class TestEvaluate:
         assert (dl - dr).is_zero(upto=40)
 
     def test_lambert_node(self):
-        s = evaluate(parse_expression("lam(2,1)"), 6)
+        s = evaluate_to_bound(parse_expression("lam(2,1)"), 6)
         assert s.agrees_with(expand_lambert(piq.LambertSpec("LAM", 2, 1), 6))
 
 
@@ -321,15 +320,20 @@ class TestNormalize:
 
 
 def _reference_evaluate(expr, terms):
-    """Generic evaluation: each pi(n) on its own, as q^(n/4) psi(q^n)^2, then
-    ScaledSeries products, powers and substitutions."""
+    """Generic evaluation: each pi(n) on its own, as q^(n/4) psi(q^n)^2, each
+    Lambert atom through expand_lambert, then ScaledSeries sums, products,
+    powers and substitutions."""
     if isinstance(expr, Const):
         return ScaledSeries.constant(expr.value)
     if isinstance(expr, Pi):
         psi = psi_expansion(terms)
         return (psi * psi).subst_power(expr.n) * ScaledSeries.monomial(F(expr.n, 4))
+    if isinstance(expr, Lambert):
+        return expand_lambert(expr.spec, terms)
     if isinstance(expr, Neg):
         return -_reference_evaluate(expr.child, terms)
+    if isinstance(expr, Add):
+        return ScaledSeries.linear_sum((1, _reference_evaluate(c, terms)) for c in expr.children)
     if isinstance(expr, Mul):
         out = ScaledSeries.one()
         for c in expr.children:
@@ -357,7 +361,7 @@ def _random_monomial_expr(rng):
 
 
 class TestPiMonomialFold:
-    """evaluate() expands a Pi-monomial subtree with one eta-quotient
+    """evaluate_to_bound expands a Pi-monomial subtree with one eta-quotient
     recurrence; it must agree with the generic per-factor product."""
 
     PINNED = [
@@ -373,34 +377,16 @@ class TestPiMonomialFold:
     ]
 
     @staticmethod
-    def assert_agrees(expr, terms):
-        assert _pi_factor(expr) is not None, to_dsl(expr)
-        folded = evaluate(expr, terms)
-        ref = _reference_evaluate(expr, terms)
-        assert folded.bound >= ref.bound
-        assert ref.bound >= ref.valuation() + 1
-        assert (folded - ref).is_zero(), to_dsl(expr)
-        assert folded.valuation() == ref.valuation()
-
-    @pytest.mark.parametrize("text", PINNED)
-    def test_pinned(self, text):
-        for terms in (1, 7, 20):
-            self.assert_agrees(parse_expression(text), terms)
-
-    def test_seeded_random_products(self):
-        rng = random.Random(20211)
-        for _ in range(60):
-            self.assert_agrees(_random_monomial_expr(rng), rng.randint(1, 16))
-
-    @staticmethod
     def assert_to_bound(expr, b):
         """evaluate_to_bound of a folded monomial reaches b, stops within one
         kernel step of b + 4 (or at the floor of 8 steps), and agrees with the
-        generic evaluation below the smaller bound."""
+        generic evaluation below the smaller bound, valuation included."""
         _, mono = _pi_factor(expr)
         got = evaluate_to_bound(expr, b)
         ref = _reference_evaluate(expr, max(1, math.ceil(b) + 4))
+        assert ref.bound >= ref.valuation() + 1
         assert (got - ref).is_zero(), (to_dsl(expr), b)
+        assert got.valuation() == ref.valuation(), (to_dsl(expr), b)
         if not mono.halves:
             assert got.bound == math.inf
             return
@@ -409,6 +395,16 @@ class TestPiMonomialFold:
         assert got.bound < b + 4 + step or got.bound == mono.valuation + 8 * step, (to_dsl(expr), b)
 
     BOUNDS = (F(-3, 2), 0, F(7, 3), 17, 40)
+
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned(self, text):
+        for b in (1, 7, 20):
+            self.assert_to_bound(parse_expression(text), F(b))
+
+    def test_seeded_random_products(self):
+        rng = random.Random(20211)
+        for _ in range(60):
+            self.assert_to_bound(_random_monomial_expr(rng), F(rng.randint(1, 16)))
 
     @pytest.mark.parametrize("text", PINNED)
     def test_pinned_to_bound(self, text):
@@ -420,7 +416,16 @@ class TestPiMonomialFold:
         for _ in range(60):
             self.assert_to_bound(_random_monomial_expr(rng), F(rng.choice(self.BOUNDS)))
 
-    @pytest.mark.parametrize("text", ["pi(6000)", "subst(pi(1),6000)"])
+    # Coefficients at and below q^13500.  Every folded child of a sum or a
+    # product is asked for the bound, not for kernel steps.
+    FAR_APART = {
+        "pi(6000)": {1500: 1, 7500: 2, 13500: 1},
+        "subst(pi(1),6000)": {1500: 1, 7500: 2, 13500: 1},
+        "pi(6000) + pi(6000)": {1500: 2, 7500: 4, 13500: 2},
+        "pi(6000)*(1 + pi(6000))": {1500: 1, 3000: 1, 7500: 2, 9000: 4, 13500: 1},
+    }
+
+    @pytest.mark.parametrize("text", FAR_APART)
     def test_to_bound_asks_for_kernel_steps(self, text, monkeypatch):
         # A bound of q^13500 is two steps of q^6000 past the valuation 1500,
         # so the floor of 8 steps holds; an exponent read as a step count
@@ -437,7 +442,8 @@ class TestPiMonomialFold:
         monkeypatch.undo()
         assert steps and max(steps) <= 8
         assert s.bound >= 13500
-        assert [s.coefficient(e) for e in (1500, 7500, 13500)] == [1, 2, 1]
+        coefficients = self.FAR_APART[text]
+        assert {e: s.coefficient(e) for e in coefficients} == coefficients
 
     @pytest.mark.parametrize(
         "text,error",
@@ -452,34 +458,52 @@ class TestPiMonomialFold:
         expr = parse_expression(text)
         assert _pi_factor(expr) is None
         with pytest.raises(error):
-            evaluate(expr, 10)
+            evaluate_to_bound(expr, 10)
 
     def test_zero_coefficient(self):
-        s = evaluate(parse_expression("0*pi(1)"), 10)
+        s = evaluate_to_bound(parse_expression("0*pi(1)"), 10)
         assert s.is_zero() and s == _reference_evaluate(parse_expression("0*pi(1)"), 10)
 
     def test_sums_and_lamberts_are_not_folded(self):
         for text in ("pi(1)*(pi(2)+pi(3))", "pi(1)*lam(2,1)", "pi(1)^2/3"):
             assert _pi_factor(parse_expression(text)) is None
-            s = evaluate(parse_expression(text), 12)
-            assert (s - _reference_mixed(parse_expression(text), 12)).is_zero()
+            s = evaluate_to_bound(parse_expression(text), 12)
+            assert (s - _reference_evaluate(parse_expression(text), 12)).is_zero()
 
 
-def _reference_mixed(expr, terms):
-    """Generic evaluation that also passes sums and Lambert atoms through."""
-    if isinstance(expr, Add):
-        out = ScaledSeries.zero()
-        for c in expr.children:
-            out = out + _reference_mixed(c, terms)
-        return out
-    if isinstance(expr, Lambert):
-        return expand_lambert(expr.spec, terms)
-    if isinstance(expr, Mul):
-        out = ScaledSeries.one()
-        for c in expr.children:
-            out = out * _reference_mixed(c, terms)
-        return out
-    return _reference_evaluate(expr, terms)
+class TestEvaluateToBound:
+    """Unfolded trees: every node is asked for an exponent bound, and the
+    window grows only when negative valuations leave the result short."""
+
+    MIXED = [
+        # sums with negative valuations
+        "pi(1)^-2 + pi(2)",
+        "pi(4)^-2*(pi(1) + pi(2))",
+        "pi(2)^-3 - pi(1)^-1*lam(2,1)",
+        # roots and inverses of sums
+        "(pi(1) + pi(2))^-1",
+        "(pi(1) + pi(2))^-2",
+        "sqrt(pi(1)^-2 + pi(2))",
+        "(1 + lam(2,1))^-1/2",
+        "(lam(7,2) + pi(9))^-1/2",
+        # subst of sums
+        "subst(pi(1) + pi(2)^-1, 2)",
+        "subst(pi(1) + lam(2,1), 3)",
+        # products with Lambert atoms
+        "pi(1)^-3*lam(2,1)",
+        "lam(2,1)*lam4(3,1)*pi(2)",
+    ]
+
+    @pytest.mark.parametrize("text", MIXED)
+    def test_reaches_the_bound_and_agrees(self, text):
+        expr = parse_expression(text)
+        assert _pi_factor(expr) is None
+        for b in (F(-3, 2), 0, F(7, 3), 17, 40):
+            got = evaluate_to_bound(expr, b)
+            ref = _reference_evaluate(expr, max(1, math.ceil(b)) + 12)
+            assert got.bound >= b, (text, b)
+            assert ref.bound >= b, (text, b)
+            assert (got - ref).is_zero(), (text, b)
 
 
 # ---------------------------------------------------------------------------

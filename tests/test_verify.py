@@ -304,6 +304,35 @@ class TestCheck:
         assert rep.verdict == "REFUTED"
         assert rep.mismatch is not None
 
+    @staticmethod
+    def _spy_bounds(monkeypatch):
+        bounds = []
+        real = verify_module.evaluate_to_bound
+
+        def spy(expr, b):
+            bounds.append(b)
+            return real(expr, b)
+
+        monkeypatch.setattr(verify_module, "evaluate_to_bound", spy)
+        return bounds
+
+    @pytest.mark.parametrize("terms", [1, 30, 100])
+    def test_corpus_checks_take_at_most_two_rounds(self, terms, monkeypatch):
+        bounds = self._spy_bounds(monkeypatch)
+        for rec in piq.load_corpus():
+            bounds.clear()
+            check(rec, terms)
+            assert len(bounds) <= 4, (rec.id, terms, bounds)
+
+    def test_second_round_reaches_the_grid(self, monkeypatch):
+        # lam(20,1) is zero through the first window, q^9, while pi(80)
+        # starts at q^20, so the grid of 5 from q^20 ends past it.  The
+        # second round, at q^25, finds lam(20,1)'s q^19 and lowers the start.
+        bounds = self._spy_bounds(monkeypatch)
+        rep = check(parse_identity("lam(20,1) = pi(80)"), 5)
+        assert bounds == [9, 9, 25, 25]
+        assert rep.verdict == "REFUTED" and rep.mismatch == (19, 1, 0)
+
 
 class TestClearingSearch:
     """Clearing and holomorphy: cusp orders add under multiplication, and a
