@@ -44,10 +44,10 @@ from .quasimod import (
     LambertSpec,
     expand_lambert,
     is_modular_combo,
-    pair_rule,
     reduce_atom,
     reduce_to_e2,
     sigma,
+    split_rule,
 )
 from .ident import (
     IdentityRecord,

@@ -29,6 +29,7 @@ through the squaring round.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Iterable, Optional, Union
 from .errors import NotPolynomializable, ParseError, SemanticError
 from .etaq import PiMonomial
 from .quasimod import LambertSpec, expand_lambert
-from .series import INF, ScaledSeries, _frac, _rational_nth_root
+from .series import ScaledSeries, _frac, _rational_nth_root, to_bound
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +511,10 @@ def evaluate_to_bound(expr: Expr, min_bound) -> ScaledSeries:
     """Exact expansion of a DSL expression known at least through O(q^min_bound).
 
     Every node is asked for an exponent bound, starting at min_bound; the
-    bound grows only when negative valuations inside products, powers or
-    roots leave the result short of it.
+    bound grows by ``series.to_bound``'s rule only when negative valuations
+    inside products, powers or roots leave the result short of it.
     """
-    min_bound = _frac(min_bound)
-    t = min_bound
-    while True:
-        s = _evaluate(expr, t)
-        if s.bound == INF or s.bound >= min_bound:
-            return s
-        t += max(4, math.ceil(min_bound - s.bound) + 2)
+    return to_bound(functools.partial(_evaluate, expr), min_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -821,13 +816,8 @@ def _build(expr: Expr) -> _Frac:
         f = _build(expr.child)
         return _Frac(ts_subst(f.num, expr.j), ts_subst(f.den, expr.j))
     if isinstance(expr, Sqrt):
-        if isinstance(expr.child, Pi):
-            return _Frac((Term(Fraction(1), PiMonomial.make({expr.child.n: Fraction(1, 2)})),), TS_ONE)
-        if isinstance(expr.child, Const):
-            r = _rational_nth_root(expr.child.value, 2)
-            if r is not None:
-                return _Frac(ts_scale(TS_ONE, r), TS_ONE)
-        return _sqrt_frac(_build(expr.child))
+        f = _build(expr.child)
+        return _pow_frac(f, Fraction(1, 2)) if isinstance(expr.child, (Pi, Const)) else _sqrt_frac(f)
     if isinstance(expr, Pow):
         return _pow_frac(_build(expr.child), expr.e)
     raise TypeError(f"not an expression node: {expr!r}")

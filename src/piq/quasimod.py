@@ -1,13 +1,14 @@
 """Eisenstein and Lambert series with reductions to certified modular combinations.
 
 Lambert sums are expanded exactly by double-sum enumeration.  The reduction
-layer is one rewrite table, ``reduce_atom`` for single atoms and ``pair_rule``
-for the quartic pair, and each rule carries the citation a proof certificate
-records.  It rewrites recognized Lambert patterns into combinations
-``constant + sum a_d E2(d z)``; such a combination is a holomorphic weight-2
-form on Gamma_0(lcm of scales) exactly when sum a_d / d = 0, which is the
-certification rule used by the proof engine.  Sums of E4(m z) are holomorphic
-weight-4 forms with no side condition.
+layer is one rewrite table; every rule rewrites one atom and carries the
+citation a proof certificate records.  ``split_rule`` writes the quartic
+atom as a sum of two other atoms, and ``reduce_atom`` rewrites recognized
+Lambert patterns into combinations ``constant + sum a_d E2(d z)``; such a
+combination is a holomorphic weight-2 form on Gamma_0(lcm of scales) exactly
+when sum a_d / d = 0, which is the certification rule used by the proof
+engine.  Sums of E4(m z) are holomorphic weight-4 forms with no side
+condition.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def reduce_atom(spec: LambertSpec) -> Optional[tuple[_EisensteinCombo, str]]:
 
     DL3 at scale m is (E4(mz) - E4(2mz))/240; an E4 atom is itself; the E2
     patterns are those of ``reduce_to_e2``.  None for anything else: a LAM4
-    atom reduces only through its pair rule.
+    atom reduces only through the parts ``split_rule`` gives it.
     """
     if spec.kind == "DL3":
         m = spec.a
@@ -256,13 +257,14 @@ def reduce_atom(spec: LambertSpec) -> Optional[tuple[_EisensteinCombo, str]]:
     return None if combo is None else (combo, f"{spec} -> E2 combination")
 
 
-def pair_rule(spec: LambertSpec) -> Optional[tuple[LambertSpec, int, LambertSpec, str]]:
-    """(partner, ratio, result, citation) when ratio*spec + partner = result.
+def split_rule(spec: LambertSpec) -> Optional[tuple[tuple[tuple[Fraction, LambertSpec], ...], str]]:
+    """((coefficient, atom) parts summing to the atom, citation), or None.
 
-    The one registered pair: 6*LAM4(2b,b) + LAM(2b,b) is the cube sum DL3 at
-    scale b.
+    The one registered split: LAM4(2b,b) = (DL3(b) - LAM(2b,b))/6, the pair
+    identity 6*LAM4(2b,b) + LAM(2b,b) = DL3(b) read as a rewrite of LAM4.
     """
     if spec.kind != "LAM4" or spec.a != 2 * spec.b:
         return None
-    partner = LambertSpec("LAM", spec.a, spec.b)
-    return partner, 6, LambertSpec("DL3", spec.b), "lam4-pair-to-cube-sum"
+    sixth = Fraction(1, 6)
+    parts = ((sixth, LambertSpec("DL3", spec.b)), (-sixth, LambertSpec("LAM", spec.a, spec.b)))
+    return parts, "lam4-pair-to-cube-sum"

@@ -474,3 +474,20 @@ def eta_expansion(delta: int, terms: int) -> ScaledSeries:
     return ScaledSeries.from_terms(
         {pref + delta * g: c for g, c in pent.items()}, pref + delta * terms
     )
+
+
+def to_bound(expand, min_bound) -> ScaledSeries:
+    """expand(b), asked again with larger b until its bound reaches min_bound.
+
+    A result that falls short of min_bound raises the request by the
+    shortfall plus 2, and by at least 4.  Negative valuations inside
+    products, and the half valuation a square root loses, cost the same
+    amount at every request, so the bound grows with it and the loop ends.
+    """
+    min_bound = _frac(min_bound)
+    b = min_bound
+    while True:
+        s = expand(b)
+        if s.bound == INF or s.bound >= min_bound:
+            return s
+        b += max(4, math.ceil(min_bound - s.bound) + 2)

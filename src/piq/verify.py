@@ -7,9 +7,11 @@ The pipeline for :func:`prove`:
     The prover works on these ``ident.Term`` sums and their ``ts_*``
     operations throughout; there is no second term algebra.
 2.  Rewrite Lambert atoms in place from the one rewrite table of
-    ``quasimod``: ``pair_rule`` collapses quartic Lambert pairs to the cube
-    sum, and ``reduce_atom`` turns each remaining atom into its E2 or E4
-    combination and the citation the certificate records.  E2 constants
+    ``quasimod``, whose every rule rewrites one atom: ``split_rule``
+    replaces each quartic atom lam4(2b,b) by (dl3(b) - lam(2b,b))/6, the
+    canonical term sum merges the parts, so a quartic pair cancels to the
+    cube sum, and ``reduce_atom`` turns each remaining atom into its E2 or
+    E4 combination and the citation the certificate records.  E2 constants
     are split off and merged with the other constant terms.
     A reduced term is a ``Term`` whose atom slot holds these certified
     ``E2Combo``/``E4Combo`` factors.
@@ -74,8 +76,8 @@ from .ident import (
     ts_subst,
     _key,
 )
-from .quasimod import E2Combo, is_modular_combo, pair_rule, reduce_atom
-from .series import INF, ScaledSeries, _frac
+from .quasimod import E2Combo, is_modular_combo, reduce_atom, split_rule
+from .series import INF, ScaledSeries, _frac, to_bound
 
 
 def sturm_bound(level: int, weight: int) -> int:
@@ -172,37 +174,26 @@ class _Uncertifiable(PiqError):
 # ---------------------------------------------------------------------------
 
 
-def _apply_pair_rule(terms: Sequence[Term], citations: list[str]) -> list[Term]:
-    """Collapse term pairs that a registered pair rule turns into one atom.
+def _split_atoms(terms: tuple, citations: list[str]) -> tuple:
+    """The term sum with every atom that ``split_rule`` splits replaced by its parts.
 
-    A term's first atom with a pair rule pairs with the term carrying the
-    rule's partner in its place; they collapse when the coefficients stand
-    in the rule's ratio, and the result keeps the partner's coefficient.
+    The products of parts are multiplied out and merged by ``ts_make``, so
+    parts that cancel between terms are gone before any atom is reduced.  A
+    sum with no such atom comes back as the same tuple.
     """
-    work = list(terms)
-    changed = True
-    while changed:
-        changed = False
-        for i, t in enumerate(work):
-            found = [(s, r) for s in t.lamberts if (r := pair_rule(s))]
-            if not found:
-                continue
-            spec, (partner, ratio, merged, citation) = found[0]
-            rest = list(t.lamberts)
-            rest.remove(spec)
-            partner_lams = tuple(sorted(rest + [partner], key=_key))
-            for j, u in enumerate(work):
-                if j == i or u.pi != t.pi or u.sqrts != t.sqrts or u.lamberts != partner_lams:
-                    continue
-                if u.coef != 0 and t.coef == ratio * u.coef:
-                    work[i] = Term(u.coef, t.pi, tuple(sorted(rest + [merged], key=_key)), t.sqrts)
-                    del work[j]
-                    citations.append(citation)
-                    changed = True
-                    break
-            if changed:
-                break
-    return work
+    if not any(split_rule(s) for t in terms for s in t.lamberts):
+        return terms
+    out: list[Term] = []
+    for t in terms:
+        branches = [(t.coef, ())]
+        for spec in t.lamberts:
+            hit = split_rule(spec)
+            if hit:
+                citations.append(hit[1])
+            parts = hit[0] if hit else ((1, spec),)
+            branches = [(c * a, atoms + (s,)) for c, atoms in branches for a, s in parts]
+        out.extend(Term(c, t.pi, tuple(sorted(atoms, key=_key)), t.sqrts) for c, atoms in branches)
+    return ts_make(out)
 
 
 def _split_constants(coef, e2s, pi, e4s, sqrts) -> list[Term]:
@@ -223,15 +214,15 @@ def _split_constants(coef, e2s, pi, e4s, sqrts) -> list[Term]:
 def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
     """Rewrite Lambert atoms to certified combinations and split constants.
 
-    Terms with exactly one E2 combination and equal other factors fold into
-    one term carrying the coefficient-weighted sum; the fold is what turns a
-    list of individually quasimodular Lambert sums into one certifiable
-    combination.
+    Atoms with a split rule are first replaced by their parts.  Terms with
+    exactly one E2 combination and equal other factors fold into one term
+    carrying the coefficient-weighted sum; the fold is what turns a list of
+    individually quasimodular Lambert sums into one certifiable combination.
     """
     citations: list[str] = []
     out: list[Term] = []
     folds: dict = {}  # (pi, E4 factors, radicals) -> accumulated E2 combination
-    for t in _apply_pair_rule(terms, citations):
+    for t in _split_atoms(terms, citations):
         e2s, e4s = [], []
         for spec in t.lamberts:
             hit = reduce_atom(spec)
@@ -282,18 +273,14 @@ def _rts_sum(terms, min_bound: Fraction) -> ScaledSeries:
 
 
 def rts_series(terms, min_bound) -> ScaledSeries:
-    """Expansion of a reduced term sum with bound at least min_bound."""
-    min_bound = _frac(min_bound)
-    out = _rts_sum(terms, min_bound)
-    # Guard: a square root loses half its radicand's valuation x0 (a radicand
-    # known to O(q^b) has a root known to O(q^(b - x0/2))), and a combination
-    # expanded to ceil(min_bound) loses a negative Pi valuation beside it, so
-    # the sum can fall short of the request; grow windows until met.
-    attempt = 0
-    while out.bound != INF and out.bound < min_bound and attempt < 6:
-        attempt += 1
-        out = _rts_sum(terms, min_bound + attempt * 8)
-    return out
+    """Expansion of a reduced term sum with bound at least min_bound.
+
+    A square root loses half its radicand's valuation x0 (a radicand known
+    to O(q^b) has a root known to O(q^(b - x0/2))), and a combination
+    expanded to ceil(min_bound) loses a negative Pi valuation beside it, so
+    the sum can fall short of the request; ``to_bound`` then asks again.
+    """
+    return to_bound(functools.partial(_rts_sum, terms), min_bound)
 
 
 def _first_mismatch(s_l: ScaledSeries, s_r: ScaledSeries, start, scale: int, count: int):
@@ -536,6 +523,9 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
     for side, terms in enumerate((lhs, rhs)):
         for t in terms:
             groups.setdefault(t.pi.character_disc, ([], []))[side].append(t)
+    facts = dict(
+        id=rid, weight=k, level=level, subst_exponent=m, clearing_multiplier=clearing, sturm_bound=bound
+    )
     first = None  # (e, cl, cr) of the earliest mismatch; ties keep the smaller disc
     for disc in sorted(groups):
         s_l, s_r = (rts_series(ts, bound) for ts in groups[disc])
@@ -544,13 +534,8 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         e, cl, cr = first
         e = int(e)
         return ProofReport(
-            id=rid,
+            **facts,
             verdict="REFUTED",
-            weight=k,
-            level=level,
-            subst_exponent=m,
-            clearing_multiplier=clearing,
-            sturm_bound=bound,
             coefficients_compared=e + 1,
             detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
             mismatch=(Fraction(e), cl, cr),
@@ -561,13 +546,8 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         if citation is None:
             e, cl, cr = info
             return ProofReport(
-                id=rid,
+                **facts,
                 verdict="REFUTED",
-                weight=k,
-                level=level,
-                subst_exponent=m,
-                clearing_multiplier=clearing,
-                sturm_bound=bound,
                 coefficients_compared=bound,
                 detail=f"squares agree but leading terms differ at q^{e}: {cl} vs {cr}",
                 mismatch=(e, cl, cr),
@@ -582,17 +562,7 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         citations=tuple(sorted(set(citations))),
         terms=_term_facts(diff, level),
     )
-    return ProofReport(
-        id=rid,
-        verdict="PROVEN",
-        weight=k,
-        level=level,
-        subst_exponent=m,
-        clearing_multiplier=clearing,
-        sturm_bound=bound,
-        coefficients_compared=bound,
-        certificate=cert,
-    )
+    return ProofReport(**facts, verdict="PROVEN", coefficients_compared=bound, certificate=cert)
 
 
 def _check_root_branch(root_pair, cfg: ProveConfig):

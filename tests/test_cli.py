@@ -293,6 +293,20 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", piq.corpus_path(), "--verbose")
             assert (code, out) == (0, golden)
 
+    def test_lambert_pairs_match_golden_file(self, capsys):
+        # Each "> dsl" block holds the stdout lines ("  "), the stderr lines
+        # ("! ") and the exit code of `piq verify --dsl dsl -v`.
+        with open(os.path.join(DATA, "lambert_pairs_verbose.txt"), encoding="utf-8") as fh:
+            golden = fh.read()
+        got = []
+        for dsl in (line[2:] for line in golden.splitlines() if line.startswith("> ")):
+            code, out, err = run(capsys, "verify", "--dsl", dsl, "-v")
+            got.append(f"> {dsl}\n")
+            got.extend(f"  {line}\n" for line in out.splitlines())
+            got.extend(f"! {line}\n" for line in err.splitlines())
+            got.append(f"exit {code}\n")
+        assert "".join(got) == golden
+
     def test_non_homogeneous_weights_print_as_rationals(self, capsys):
         code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)")
         assert code == 1

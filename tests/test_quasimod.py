@@ -10,11 +10,12 @@ from piq.quasimod import (
     LambertSpec,
     expand_lambert,
     is_modular_combo,
-    pair_rule,
     reduce_atom,
     reduce_to_e2,
     sigma,
+    split_rule,
 )
+from piq.series import ScaledSeries
 
 
 def brute_sigma(s, n):
@@ -148,30 +149,38 @@ class TestComboRules:
     """The former ``combo_rules`` cases, asked of the rule table."""
 
     def test_quartic_pair(self):
-        partner, ratio, result, rule = pair_rule(LambertSpec("LAM4", 2, 1))
+        parts, rule = split_rule(LambertSpec("LAM4", 2, 1))
         assert rule == "lam4-pair-to-cube-sum"
-        assert (partner, ratio, result) == (LambertSpec("LAM", 2, 1), 6, LambertSpec("DL3", 1))
-        # oracle equivalence to 50 terms
+        assert parts == ((F(1, 6), LambertSpec("DL3", 1)), (F(-1, 6), LambertSpec("LAM", 2, 1)))
+        # oracle equivalence to 50 terms: 6*LAM4 + LAM = DL3
         lhs = expand_lambert(LambertSpec("LAM4", 2, 1), 50) * 6 + expand_lambert(
             LambertSpec("LAM", 2, 1), 50
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
+        assert _split_series(LambertSpec("LAM4", 2, 1), 50).agrees_with(
+            expand_lambert(LambertSpec("LAM4", 2, 1), 50)
+        )
 
     def test_wrong_coefficient_not_matched(self):
-        _, ratio, _, _ = pair_rule(LambertSpec("LAM4", 2, 1))
-        assert ratio != 5
+        parts, _ = split_rule(LambertSpec("LAM4", 2, 1))
+        assert [a for a, _ in parts] == [F(1, 6), F(-1, 6)]
         lhs = expand_lambert(LambertSpec("LAM4", 2, 1), 50) * 5 + expand_lambert(
             LambertSpec("LAM", 2, 1), 50
         )
         assert not lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
+        wrong = _split_series(LambertSpec("LAM4", 2, 1), 50) * F(6, 5)
+        assert not wrong.agrees_with(expand_lambert(LambertSpec("LAM4", 2, 1), 50))
 
     def test_scaled_pair(self):
-        partner, ratio, result, _ = pair_rule(LambertSpec("LAM4", 6, 3))
-        assert (partner, ratio, result) == (LambertSpec("LAM", 6, 3), 6, LambertSpec("DL3", 3))
+        parts, _ = split_rule(LambertSpec("LAM4", 6, 3))
+        assert parts == ((F(1, 6), LambertSpec("DL3", 3)), (F(-1, 6), LambertSpec("LAM", 6, 3)))
         lhs = expand_lambert(LambertSpec("LAM4", 6, 3), 60) * 6 + expand_lambert(
             LambertSpec("LAM", 6, 3), 60
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 3), 60))
+        assert _split_series(LambertSpec("LAM4", 6, 3), 60).agrees_with(
+            expand_lambert(LambertSpec("LAM4", 6, 3), 60)
+        )
 
     def test_cube_sum_to_e4(self):
         combo, rule = reduce_atom(LambertSpec("DL3", 1))
@@ -180,17 +189,23 @@ class TestComboRules:
         assert combo.expand(50).agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
 
 
+def _split_series(spec, terms):
+    """The sum of split_rule's parts, each expanded by the oracle."""
+    parts, _ = split_rule(spec)
+    return ScaledSeries.linear_sum((a, expand_lambert(part, terms)) for a, part in parts)
+
+
 class TestPairRule:
     @pytest.mark.parametrize("seed", range(4))
     def test_holds_for_random_scale(self, seed):
         b = random.Random(seed).randint(1, 12)
-        partner, ratio, result, _ = pair_rule(LambertSpec("LAM4", 2 * b, b))
-        lhs = expand_lambert(LambertSpec("LAM4", 2 * b, b), 60) * ratio + expand_lambert(
-            partner, 60
-        )
-        assert lhs.agrees_with(expand_lambert(result, 60))
-        wrong = lhs + expand_lambert(LambertSpec("LAM4", 2 * b, b), 60)
-        assert not wrong.agrees_with(expand_lambert(result, 60))
+        spec = LambertSpec("LAM4", 2 * b, b)
+        parts, _ = split_rule(spec)
+        assert [p for _, p in parts] == [LambertSpec("DL3", b), LambertSpec("LAM", 2 * b, b)]
+        atom = expand_lambert(spec, 60)
+        assert _split_series(spec, 60).agrees_with(atom)
+        wrong = _split_series(spec, 60) + atom
+        assert not wrong.agrees_with(atom)
 
     @pytest.mark.parametrize(
         "spec",
@@ -199,7 +214,7 @@ class TestPairRule:
         ids=str,
     )
     def test_unregistered_returns_none(self, spec):
-        assert pair_rule(spec) is None
+        assert split_rule(spec) is None
 
 
 def _random_atoms(seed):
@@ -248,7 +263,7 @@ class TestReduceAtom:
         ids=str,
     )
     def test_unregistered_returns_none(self, spec):
-        # LAM4(2,1) reduces only together with its pair partner.
+        # LAM4(2,1) reduces only through the parts split_rule gives it.
         assert reduce_atom(spec) is None
 
 

@@ -125,9 +125,17 @@ class TestProve:
         assert rep.verdict in ("UNCERTIFIED", "REFUTED")
 
     def test_irreducible_lambert_is_checked_not_passed(self):
-        # true identity, but the quartic pair rule needs the exact 6:1 ratio
-        rep = prove(parse_identity("6*lam4(2,1) + 2*lam(2,1) = dl3() + lam(2,1)", id="nopair"))
+        # A quartic pair need not stand at 6:1: its split leaves lam(2,1) on
+        # both sides, and they cancel.
+        rep = prove(parse_identity("6*lam4(2,1) + 2*lam(2,1) = dl3() + lam(2,1)", id="pair"))
+        assert rep.verdict == "PROVEN"
+        assert "lam4-pair-to-cube-sum" in rep.certificate.citations
+        # true (corpus L12-1 times lam(3,1)), but lam(3,1) has no rule
+        rep = prove(parse_identity(
+            "lam(3,1)*(pi(2)^2 + 2*pi(2)*pi(6)) = lam(3,1)*(pi(1)*pi(3) + 3*pi(6)^2)", id="nopair"
+        ))
         assert rep.verdict == "UNCERTIFIED"
+        assert rep.detail.startswith("irreducible Lambert pattern lam(3,1)")
         assert "not a proof" in rep.detail
         rep2 = prove(parse_identity("lam(3,1) = lam(3,1) + 0", id="samepattern"))
         assert rep2.verdict == "PROVEN"  # sides cancel symbolically
@@ -249,22 +257,76 @@ class TestPairRuleInEngine:
     @staticmethod
     def _terms(c4, c2, scale=1):
         one = PiMonomial.one()
-        return [
+        return (
             Term(F(c4), one, (LambertSpec("LAM4", 2 * scale, scale),)),
             Term(F(c2), one, (LambertSpec("LAM", 2 * scale, scale),)),
-        ]
+        )
 
     def test_collapses_at_ratio_6_with_partner_coefficient(self):
         cites = []
-        out = verify_module._apply_pair_rule(self._terms(12, 2, 3), cites)
-        assert out == [Term(F(2), PiMonomial.one(), (LambertSpec("DL3", 3),))]
+        out = verify_module._split_atoms(self._terms(12, 2, 3), cites)
+        assert out == (Term(F(2), PiMonomial.one(), (LambertSpec("DL3", 3),)),)
         assert cites == ["lam4-pair-to-cube-sum"]
 
-    def test_wrong_ratio_left_alone(self):
+    def test_wrong_ratio_splits_into_both_parts(self):
         cites = []
-        terms = self._terms(5, 1)
-        assert verify_module._apply_pair_rule(terms, cites) == terms
+        out = verify_module._split_atoms(self._terms(5, 1), cites)
+        assert out == (
+            Term(F(5, 6), PiMonomial.one(), (LambertSpec("DL3", 1),)),
+            Term(F(1, 6), PiMonomial.one(), (LambertSpec("LAM", 2, 1),)),
+        )
+        assert cites == ["lam4-pair-to-cube-sum"]
+
+    def test_side_without_quartic_atom_is_the_same_tuple(self):
+        cites = []
+        terms = ts_make([Term(F(3), _pm({1: 2}), (LambertSpec("LAM", 2, 1),)), Term(F(1), _pm({2: 1}))])
+        assert verify_module._split_atoms(terms, cites) is terms
         assert cites == []
+
+    def test_product_of_quartic_atoms_multiplies_out(self):
+        lam4, dl3, lam = LambertSpec("LAM4", 2, 1), LambertSpec("DL3", 1), LambertSpec("LAM", 2, 1)
+        cites = []
+        out = verify_module._split_atoms((Term(F(36), PiMonomial.one(), (lam4, lam4)),), cites)
+        one = PiMonomial.one()
+        assert out == ts_make([
+            Term(F(1), one, (dl3, dl3)), Term(F(-2), one, (dl3, lam)), Term(F(1), one, (lam, lam))
+        ])
+        assert cites == ["lam4-pair-to-cube-sum"] * 2
+
+
+class TestLambertPairsInOtherRatios:
+    """c*(6*lam4(2b,b) + lam(2b,b))*M plus d*lam(2b,b)*M on both sides: true
+    for every c and d, and at 6:1 only when d = 0."""
+
+    MONOMIALS = ("1", "pi(1)^2", "pi(2)*pi(6)", "pi(4)^4")
+
+    @classmethod
+    def _cases(cls, seed):
+        rng = random.Random(seed)
+        for b, mono in itertools.product((1, 2, 3), cls.MONOMIALS):
+            c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            yield b, mono, c, F(rng.choice([-2, -1, 1, 2, 5]))
+
+    @staticmethod
+    def _dsl(b, mono, c4, c2, c3, d):
+        lam4, lam, dl3 = f"lam4({2 * b},{b})", f"lam({2 * b},{b})", f"subst(dl3(),{b})"
+        return f"({c4}*{lam4} + {c2}*{lam})*{mono} = ({c3}*{dl3} + {d}*{lam})*{mono}"
+
+    def test_true_pairs_proven_and_mutants_not(self):
+        # d is never 0, so no case stands at the 6:1 ratio alone.
+        for b, mono, c, d in self._cases(20261019):
+            rec = parse_identity(self._dsl(b, mono, 6 * c, c + d, c, d), id="pair")
+            rep = prove(rec)
+            assert rep.verdict == "PROVEN", (rec.dsl, rep.detail)
+            assert "lam4-pair-to-cube-sum" in rep.certificate.citations
+            assert check(rec, 6 * rep.sturm_bound + 40).verdict == "CHECKED", rec.dsl
+            for mutant in (
+                self._dsl(b, mono, 6 * c + 1, c + d, c, d),
+                self._dsl(b, mono, 6 * c, c + d + 1, c, d),
+                self._dsl(b, mono, 6 * c, c + d, c + 1, d),
+            ):
+                rep = prove(parse_identity(mutant, id="mutant"))
+                assert rep.verdict != "PROVEN", (mutant, rep.detail)
 
 
 class TestProvenSoundnessSpotChecks:
@@ -453,18 +515,19 @@ def _reference_rts_series(terms, min_bound):
         return out
 
     min_bound = F(min_bound)
-    out = total(min_bound)
-    attempt = 0
-    while out.bound != math.inf and out.bound < min_bound and attempt < 6:
-        attempt += 1
-        out = total(min_bound + attempt * 8)
-    return out
+    b = min_bound
+    while True:
+        out = total(b)
+        if out.bound == math.inf or out.bound >= min_bound:
+            return out
+        b += max(4, math.ceil(min_bound - out.bound) + 2)
 
 
 class TestRtsSeriesGuard:
     def test_radicand_valuation_forces_a_retry(self, monkeypatch):
         # sqrt(pi(1)^40): the radicand has valuation 10, so its root is known
-        # 5 short of the radicand's bound, which stops just past 40 + 4.
+        # 5 short of the radicand's bound, which stops just past 40 + 4; the
+        # retry asks for the shortfall plus 2, at least 4, more.
         terms = (Term(F(1), PiMonomial.one(), (), (SqrtAtom((Term(F(1), _pm({1: 40})),)),)),)
         calls = []
         real = verify_module._rts_sum
@@ -477,7 +540,7 @@ class TestRtsSeriesGuard:
         monkeypatch.setattr(verify_module, "_rts_sum", counting)
         got = rts_series(terms, 40)
         monkeypatch.undo()
-        assert calls == [40, 48]
+        assert calls == [40, 44]
         assert got.bound >= 40
         assert _fields(got) == _fields(_reference_rts_series(terms, 40))
 
