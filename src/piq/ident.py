@@ -16,12 +16,13 @@ Standard precedence, left associativity, whitespace insensitive.  After a
 ``^`` the slash is part of the rational exponent (``pi(1)^3/2`` is the
 3/2 power); elsewhere ``/`` is division.
 
-``sqrt(pi(n))`` and ``pi(n)^1/2`` are canonicalized identically.  A
-half-integer *power* of any one Pi monomial with integer exponents and a
-rational square root of its coefficient is distributed onto the exponents,
-but ``sqrt()`` of anything larger than a single Pi atom, a composite
-monomial included, is kept as an opaque radical and is eliminated by the
-proof engine's single squaring round.  So
+``sqrt(pi(n))`` and ``pi(n)^1/2`` are canonicalized identically.  A rational
+*power* of one Pi monomial goes onto its exponents when they stay
+half-integers and its coefficient has the rational root (one rule,
+``_term_power``, for flattening and evaluation, so ``(pi(1)^2)^1/4`` is
+``pi(1)^1/2``).  Any other half-integer power, and ``sqrt()`` of anything
+larger than a single Pi atom, a composite monomial included, keeps an opaque
+radical that the proof engine's single squaring round eliminates.  So
 ``(pi(1)/pi(9))^1/2*pi(9) = pi(1)^1/2*pi(9)^1/2`` cancels symbolically,
 while the same identity written with ``sqrt(pi(1)/pi(9))`` is proven
 through the squaring round.
@@ -374,32 +375,35 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CORPUS_HEADER:
         raise ParseError(f"missing corpus header {CORPUS_HEADER!r}", 1, 1, [CORPUS_HEADER])
-    records = []
+    records, seen = [], set()
     fields: dict[str, str] = {}
-    dsl_spot = (0, 0)  # (line, column) of the dsl value
+    spots: dict[str, tuple[int, int]] = {}  # field -> (line, column) of its value
 
-    def flush(at_line: int):
-        nonlocal fields
+    def flush():
         if not fields:
             return
         missing = [k for k in ("id", "dsl") if k not in fields]
         if missing:
-            raise ParseError(f"record missing field(s) {missing}", at_line, 1)
+            raise ParseError(f"record missing field(s) {missing}", min(spots.values())[0], 1)
         try:
             rec = parse_identity(fields["dsl"], id=fields["id"], source=fields.get("source", ""))
         except ParseError as exc:
             # The DSL value is one line: place the error at its column there.
             raise ParseError(
                 f"in record {fields['id']!r}: {exc.message}",
-                dsl_spot[0], dsl_spot[1] + exc.column - 1, exc.expected,
+                spots["dsl"][0], spots["dsl"][1] + exc.column - 1, exc.expected,
             ) from exc
+        if rec.id in seen:
+            raise ParseError(f"duplicate record id {rec.id!r}", spots["id"][0], 1)
+        seen.add(rec.id)
         records.append(rec)
-        fields = {}
+        fields.clear()
+        spots.clear()
 
     for i, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip()
         if not line.strip():
-            flush(i)
+            flush()
             continue
         if line.lstrip().startswith("#"):
             continue
@@ -414,15 +418,8 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
             )
         if key in fields:
             raise ParseError(f"repeated field {key!r}", i, 1)
-        if key == "dsl":
-            dsl_spot = (i, column)
-        fields[key] = value.strip()
-    flush(len(lines) + 1)
-    seen = set()
-    for rec in records:
-        if rec.id in seen:
-            raise ParseError(f"duplicate record id {rec.id!r}", 1, 1)
-        seen.add(rec.id)
+        fields[key], spots[key] = value.strip(), (i, column)
+    flush()
     return records
 
 
@@ -431,15 +428,24 @@ def parse_corpus(text: str) -> list[IdentityRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _term_power(coef: Fraction, mono: PiMonomial, e: Fraction) -> Optional[tuple[Fraction, PiMonomial]]:
+    """(coef * mono)^e as ``(coef', mono')`` when the power moves onto the
+    exponents, else None: every Pi exponent times e stays a half-integer (e's
+    denominator divides each 2k), and coef has the rational root that
+    ``ScaledSeries.pow`` takes (not zero, not negative under an even root)."""
+    if coef == 0 or any(h % e.denominator for _, h in mono.halves):
+        return None
+    root = _rational_nth_root(coef, e.denominator)
+    return None if root is None else (root**e.numerator, mono**e)
+
+
 def _pi_factor(expr: Expr) -> Optional[tuple[Fraction, PiMonomial]]:
     """The expression as ``(coef, m)`` with value coef * m for one Pi monomial m.
 
     A structural walk over constants, Pi atoms, negations, products, powers,
     square roots and substitutions.  It gives up (None) on a sum or a Lambert
-    atom, on a power leaving a Pi exponent that is not a half-integer, and on
-    a coefficient without the rational root ``ScaledSeries.pow`` would take
-    (a zero base, a negative base under an even root, a non-perfect power),
-    so those inputs keep the generic evaluation and its errors.
+    atom and on a power that ``_term_power`` does not move onto the
+    exponents, so those inputs keep the generic evaluation and its errors.
     """
     if isinstance(expr, Const):
         return expr.value, PiMonomial.one()
@@ -454,14 +460,7 @@ def _pi_factor(expr: Expr) -> Optional[tuple[Fraction, PiMonomial]]:
             return -coef, mono
         if isinstance(expr, Subst):
             return coef, mono.subst(expr.j)
-        e = expr.e if isinstance(expr, Pow) else Fraction(1, 2)
-        # (2k) * e stays an integer iff e's denominator divides 2k.
-        if coef == 0 or any(h % e.denominator for _, h in mono.halves):
-            return None
-        root = _rational_nth_root(coef, e.denominator)
-        if root is None:
-            return None
-        return root**e.numerator, mono**e
+        return _term_power(coef, mono, expr.e if isinstance(expr, Pow) else Fraction(1, 2))
     if isinstance(expr, Mul):
         coef, mono = Fraction(1), PiMonomial.one()
         for c in expr.children:
@@ -780,17 +779,14 @@ def _frac_one():
     return _Frac(TS_ONE, TS_ONE)
 
 
-def _single_pi_term(f: _Frac) -> Optional[Term]:
-    """The fraction as one radical-free, Lambert-free Pi term, when it is one."""
+def _single_pi_term(f: _Frac) -> Optional[tuple[Fraction, PiMonomial]]:
+    """The fraction as ``(coef, mono)`` for one radical-free, Lambert-free Pi term."""
     if len(f.num) != 1 or len(f.den) != 1:
         return None
     n, d = f.num[0], f.den[0]
     if n.lamberts or n.sqrts or d.lamberts or d.sqrts:
         return None
-    inv = Term(1 / d.coef, d.pi ** Fraction(-1))
-    prod = _term_mul(n, inv)
-    assert len(prod) == 1
-    return prod[0]
+    return n.coef / d.coef, n.pi * d.pi ** -1
 
 
 def _build(expr: Expr) -> _Frac:
@@ -839,21 +835,21 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
     e = _frac(e)
     if e.denominator == 1:
         n = int(e)
+        if n <= 0 and not f.num:
+            what = "0^0 is undefined for" if n == 0 else "division by"
+            raise NotPolynomializable(f"{what} a symbolically zero expression")
         if n >= 0:
             return _Frac(ts_pow_int(f.num, n), ts_pow_int(f.den, n))
-        if not f.num:
-            raise NotPolynomializable("division by a symbolically zero expression")
         return _Frac(ts_pow_int(f.den, -n), ts_pow_int(f.num, -n))
+    # A fractional power of one Pi term moves onto its exponents by the
+    # evaluator's rule; a half-integer power of anything else keeps a radical.
+    term = _single_pi_term(f)
+    moved = None if term is None else _term_power(*term, e)
+    if moved is not None:
+        return _Frac((Term(*moved),), TS_ONE)
     if e.denominator == 2:
-        # Fractional powers of a pure Pi monomial distribute onto the
-        # exponent vector; anything else keeps a radical.
-        mono = _single_pi_term(f)
-        if mono is not None:
-            root = _rational_nth_root(mono.coef, 2)
-            if root is not None and not any(h % 2 for _, h in mono.pi.halves):
-                return _Frac((Term(root ** e.numerator, mono.pi ** e),), TS_ONE)
         ipart = (e.numerator - 1) // 2  # e = ipart + 1/2 with odd numerator
-        return _pow_frac(f, Fraction(ipart)) * _sqrt_frac(f)
+        return _sqrt_frac(f) if ipart == 0 else _pow_frac(f, Fraction(ipart)) * _sqrt_frac(f)
     raise NotPolynomializable(f"unsupported fractional exponent {e}")
 
 

@@ -20,7 +20,7 @@ The constructor divides D by the gcd of the numerators present and the
 denominator by the gcd of the stored integers, so equality testing is
 representation independent.  Sums of many series share one integer
 accumulator (:meth:`ScaledSeries.linear_sum`), and every power that is not a
-positive integer runs one recurrence (:meth:`ScaledSeries.pow`).
+positive integer runs one recurrence on integers (:meth:`ScaledSeries.pow`).
 """
 
 from __future__ import annotations
@@ -357,7 +357,8 @@ class ScaledSeries:
 
         A positive integer is binary exponentiation over the product; every
         other exponent, inverses and roots included, runs one binomial-series
-        recurrence.  Fractional exponents take the branch whose leading
+        recurrence on Python ints, whatever the exponent's denominator and the
+        leading coefficient.  Fractional exponents take the branch whose leading
         coefficient is the rational real root of the input's.  For an exact
         (infinite-bound) base whose power is not a polynomial, ``terms`` sets
         the window of the truncated result.
@@ -383,13 +384,13 @@ class ScaledSeries:
                 )
             # |f| = O(q^bound) implies |f^e| = O(q^(e*bound)).
             return ScaledSeries.zero(self._bound * e)
-        x0, c0, g, u = self._unit_part()
+        (n0, a0), *rest = self._nums.items()
         p, ell = e.numerator, e.denominator
+        c0 = Fraction(a0, self._den)
         root = _rational_nth_root(c0, ell)
         if root is None:
-            raise NonRootLeadingCoefficient(
-                f"leading coefficient {c0} has no rational {ell}-th root"
-            )
+            raise NonRootLeadingCoefficient(f"leading coefficient {c0} has no rational {ell}-th root")
+        x0 = Fraction(n0, self._scale)
         if self._bound == INF:
             if terms is None:
                 raise InsufficientPrecision(
@@ -398,41 +399,44 @@ class ScaledSeries:
             window = Fraction(terms)
         else:
             window = self._bound - x0
-        # Binomial-series recurrence on (1+u)^e with u = self/(c0 q^x0) - 1
-        # and e = p/ell (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7):
-        #   n*ell*b_n = sum_{k=1..n} ((p+ell)k - n*ell) u_k b_{n-k},  b_0 = 1.
-        # An integer e over integral u_k keeps every b_n integral, so the
-        # division is exact on ints; anything else runs on Fractions.
-        integral = ell == 1 and all(c.denominator == 1 for c in u.values())
-        steps = [(k, (p + ell) * k, c.numerator if integral else c) for k, c in u.items()]
+        # self = c0 q^x0 (1 + sum_k u_k q^(k*g/scale)) with u_k = x_k/a0, and the
+        # binomial-series recurrence (J.C.P. Miller; Knuth, TAOCP vol. 2, 4.7)
+        #   n*ell*b_n = sum_{k=1..n} ((p+ell)k - n*ell) u_k b_{n-k},  b_0 = 1,
+        # gives (1+u)^(p/ell) = sum_n b_n q^(n*g/scale).  The denominators of u_k
+        # divide a0/c, c the gcd of a0 and every x_k, and those of
+        # binom(p/ell, j) divide ell^(2j), so B_n = b_n D^n is an integer for
+        # D = |a0/c| ell^2 (1 when e and every u_k are integers):
+        #   n*ell*B_n = sum_k ((p+ell)k - n*ell) (x_k D^k / a0) B_{n-k}.
+        g = math.gcd(*(n - n0 for n, _ in rest)) or self._scale
         K = max(math.ceil(window * self._scale / g), 1)
-        b = [1] + [0] * (K - 1)
+        D = abs(a0) // math.gcd(a0, *(x for _, x in rest)) * ell * ell
+        steps = []
+        for n, x in rest:
+            k = (n - n0) // g
+            if k >= K:
+                break
+            steps.append((k, (p + ell) * k, x * D**k // a0))
+        B = [1] + [0] * (K - 1)
         for n in range(1, K):
             s, m = 0, n * ell
-            for k, pk, uk in steps:
+            for k, pk, w in steps:
                 if k > n:
                     break
-                if b[n - k]:
-                    s += (pk - m) * uk * b[n - k]
+                if B[n - k]:
+                    s += (pk - m) * w * B[n - k]
             if s:
-                b[n] = s // m if integral else s / m
+                B[n], rem = divmod(s, m)
+                if rem:
+                    raise ArithmeticError(f"binomial-series recurrence left a remainder at n={n}")
+        # The coefficient at q^(x0*e + n*g/scale) is lead * B_n / D^n: put
+        # every one over lead.den * D^(K-1) on the lattice 1/(scale*ell).
         lead = root**p
-        out = {}
-        for k, c in enumerate(b):
-            if c:
-                out[x0 * e + Fraction(k * g, self._scale)] = lead * c
-        return ScaledSeries.from_terms(out, x0 * e + window)
-
-    def _unit_part(self):
-        """(x0, c0, g, u) with self = c0 q^x0 (1 + sum_k u[k] q^(k*g/scale)).
-
-        g is the gcd of the steps from the leading numerator, and u holds the
-        rational ratios to the leading coefficient in increasing k >= 1.
-        """
-        (n0, a0), *rest = self._nums.items()
-        g = math.gcd(*(n - n0 for n, _ in rest)) or self._scale
-        u = {(n - n0) // g: Fraction(x, a0) for n, x in rest}
-        return Fraction(n0, self._scale), Fraction(a0, self._den), g, u
+        nums, d_n = {}, lead.numerator
+        for n in range(K - 1, -1, -1):
+            if B[n]:
+                nums[n0 * p + n * g * ell] = B[n] * d_n
+            d_n *= D
+        return ScaledSeries(self._scale * ell, nums, x0 * e + window, lead.denominator * D ** (K - 1))
 
 
 def psi_expansion(terms: int) -> ScaledSeries:

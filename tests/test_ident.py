@@ -142,8 +142,23 @@ class TestCorpusFile:
 
     def test_duplicate_id_rejected(self):
         text = "piqdsl 1\n\nid: A\ndsl: 1 = 1\n\nid: A\ndsl: 2 = 2\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_corpus(text)
+        assert (info.value.line, info.value.column) == (6, 1)  # the second id: line
+        assert info.value.message == "duplicate record id 'A'"
+
+    @pytest.mark.parametrize(
+        "text,spot",
+        [
+            ("piqdsl 1\n\nid: A\nsource: x\n\nid: B\ndsl: 1 = 1\n", (3, 1)),
+            ("piqdsl 1\nid: A\n", (2, 1)),
+        ],
+    )
+    def test_missing_field_reported_at_the_record(self, text, spot):
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert (info.value.line, info.value.column) == spot
+        assert info.value.message == "record missing field(s) ['dsl']"
 
     @staticmethod
     def _assert_unknown_field_at_line_5(field):

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piq.errors import InsufficientPrecision, NonRootLeadingCoefficient, NotInvertible
+from piq.errors import InsufficientPrecision, NonRootLeadingCoefficient, NotInvertible, PiqError
+from piq.etaq import PiMonomial
 from piq.series import INF, ScaledSeries as S, eta_expansion, psi_expansion
 
 
@@ -497,6 +498,111 @@ def test_negative_power_matches_truncate_invert_power(integral):
         ), (s, n, terms)
         seen.add((s.bound == INF, s.valuation() < 0, got.den > 1))
     assert len(seen) == 8  # every (exact, negative valuation, fractional) mix ran
+
+
+def _exact_root(c, ell):
+    """The real rational ell-th root of a small Fraction c, or None."""
+    if c < 0 and ell % 2 == 0:
+        return None
+    parts = [round(x ** (1 / ell)) for x in (abs(c.numerator), c.denominator)]
+    if parts[0] ** ell != abs(c.numerator) or parts[1] ** ell != c.denominator:
+        return None
+    return (1 if c > 0 else -1) * F(*parts)
+
+
+def _reference_pow(s, e, terms=None):
+    """s**e for an exponent that is not a positive integer, by the
+    binomial-series recurrence on Fractions (J.C.P. Miller):
+    n*ell*b_n = sum_k ((p+ell)k - n*ell) u_k b_{n-k} for e = p/ell, with
+    u_k the ratios to the leading coefficient, each b_n a reduced Fraction."""
+    if not s.nums:
+        if e < 0:
+            raise NotInvertible(
+                "negative power of a series with zero leading coefficient within tracked precision"
+            )
+        return S.zero(s.bound * e)
+    (n0, a0), *rest = s.nums.items()
+    p, ell = e.numerator, e.denominator
+    c0, x0 = F(a0, s.den), F(n0, s.scale)
+    root = _exact_root(c0, ell)
+    if root is None:
+        raise NonRootLeadingCoefficient(f"leading coefficient {c0} has no rational {ell}-th root")
+    if s.bound == INF and terms is None:
+        raise InsufficientPrecision(
+            "power of an exact series is not a polynomial; pass terms= to truncate"
+        )
+    window = F(terms) if s.bound == INF else s.bound - x0
+    g = math.gcd(*(n - n0 for n, _ in rest)) or s.scale
+    u = {(n - n0) // g: F(x, a0) for n, x in rest}
+    b = [F(1)] + [F(0)] * (max(math.ceil(window * s.scale / g), 1) - 1)
+    for n in range(1, len(b)):
+        b[n] = sum(
+            (((p + ell) * k - n * ell) * uk * b[n - k] for k, uk in u.items() if k <= n), F(0)
+        ) / (n * ell)
+    out = {x0 * e + F(k * g, s.scale): root**p * c for k, c in enumerate(b) if c}
+    return S.from_terms(out, x0 * e + window)
+
+
+def _outcome(power, *args):
+    try:
+        r = power(*args)
+    except (PiqError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return r.scale, r.den, tuple(r.nums.items()), r.bound
+
+
+def test_power_matches_fraction_recurrence():
+    """pow's integer recurrence gives the Fraction recurrence's series, or
+    its error, byte for byte: roots of every order up to 4, leading
+    numerators that are and are not perfect powers, ratios that share a
+    factor with them, step gcds above 1, negative valuations, zero bases,
+    and exact bases cut by terms."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        ell = rng.randint(1, 4)
+        p = rng.choice([-3, -2, -1, 1, 3, 5]) if ell > 1 else rng.randint(-4, -1)
+        if math.gcd(p, ell) > 1:
+            p += 1 if p > 0 else -1
+        e = F(p, ell)
+        scale = rng.randint(1, 12)
+        step = rng.choice([1, 2, 3])
+        n0 = rng.randint(-15, 15)
+        a0 = rng.choice([1, -1, 4, -8, 9, 27, 81, 2])
+        den = rng.choice([1, 2, 4, 8, 9, 16, 27])
+        if rng.random() < 0.6:  # mostly a leading coefficient with the root
+            a0 = rng.choice([x for x in (1, -1, 4, -8, 9, 27, 81) if _exact_root(F(x), ell)])
+            den = rng.randint(1, 3) ** ell
+        nums = {} if rng.random() < 0.03 else {n0: a0}
+        for _ in range(rng.randint(0, 6) if nums else 0):
+            nums[n0 + step * rng.randint(1, 8)] = rng.randint(-9, 9)
+        if nums and rng.random() < 0.3:  # a content shared with a0
+            f = rng.choice([a0, 2, 3])
+            nums = {n: x if n == n0 else f * x for n, x in nums.items()}
+        if rng.random() < 0.3:
+            bound, terms = INF, rng.choice([None, rng.randint(1, 12)])
+        else:
+            bound, terms = F(n0, scale) + F(rng.randint(1, 16), rng.choice([1, 2, 3])), None
+        s = S(scale, nums, bound, den)
+        got = _outcome(s.pow, e, terms)
+        assert got == _outcome(_reference_pow, s, e, terms), (s, e, terms)
+        v = s.valuation()
+        seen.add((ell, got[0] if isinstance(got[0], type) else "ok"))
+        seen.add(("exact" if s.bound == INF else "bounded", v is not None and v < 0))
+        seen.add(("den > 1", len(got) == 4 and got[1] > 1))
+    assert {(ell, "ok") for ell in range(1, 5)} <= seen
+    assert {NonRootLeadingCoefficient, InsufficientPrecision, NotInvertible} <= {k[1] for k in seen}
+    assert {("exact", True), ("bounded", True), ("den > 1", True)} <= seen
+
+
+def test_square_root_of_a_pi_sum_at_four_hundred_steps():
+    """sqrt(Pi_q + Pi_{q^2}) = q^(1/8)(1 + ...) in steps of q^(1/4): 400 and
+    more steps of the recurrence, squared back onto the base."""
+    base = PiMonomial.make({1: 1}).expand_to(F(101)) + PiMonomial.make({2: 1}).expand_to(F(101))
+    r = base.pow(F(1, 2))
+    assert r.valuation() == F(1, 8) and r.leading_coefficient() == 1
+    assert (r.bound - r.valuation()) * 4 >= 400
+    assert (r * r).bound == base.bound and (r * r).agrees_with(base)
 
 
 def test_power_errors_keep_their_messages():

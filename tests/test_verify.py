@@ -103,6 +103,24 @@ class TestProve:
         rep = prove(parse_identity("sqrt(pi(1)/pi(9))*pi(9) = pi(1)^1/2*pi(9)^1/2", id="s"))
         assert rep.verdict == "PROVEN" and rep.detail != "sides cancel symbolically"
         assert any("squaring" in c for c in rep.certificate.citations)
+        # Any rational power that keeps the exponents half-integers moves onto
+        # them, as in the evaluator; one that does not is still an error.
+        for dsl in ("(pi(1)^2)^1/4 = pi(1)^1/2", "(pi(1)^3)^1/3 = pi(1)"):
+            rep = prove(parse_identity(dsl, id="p"))
+            assert (rep.verdict, rep.detail) == ("PROVEN", "sides cancel symbolically"), dsl
+        rep = prove(parse_identity("pi(1)^1/3 = pi(1)^1/3", id="t"))
+        assert (rep.verdict, rep.detail) == (
+            "ERROR", "NotPolynomializable: unsupported fractional exponent 1/3"
+        )
+
+    @pytest.mark.parametrize("dsl", ["0^0 = 1", "(pi(1)-pi(1))^0 = 1"])
+    def test_zero_to_the_zero_is_an_error_in_both_modes(self, dsl):
+        rep = prove(parse_identity(dsl))
+        assert (rep.verdict, rep.detail) == (
+            "ERROR", "NotPolynomializable: 0^0 is undefined for a symbolically zero expression"
+        )
+        rep = check(parse_identity(dsl), 10)
+        assert rep.verdict == "ERROR" and rep.detail.startswith("NotInvertible: 0^0 is undefined")
 
     def test_mutated_constant_refuted(self):
         rep = prove(parse_identity("pi(1)^2/(pi(2)*pi(4)) - pi(2)^2/pi(4)^2 = 5", id="bad"))
