@@ -29,10 +29,8 @@ from .etaq import (
     ModularityFacts,
     PiMonomial,
     cusps,
-    cusp_width,
     cusps_equivalent,
     index_gamma0,
-    kronecker_symbol,
     modularity_facts,
     order_at_cusp,
     pi_order_at_cusp,
@@ -45,7 +43,6 @@ from .quasimod import (
     expand_lambert,
     is_modular_combo,
     reduce_atom,
-    reduce_to_e2,
     sigma,
     split_rule,
 )

@@ -161,7 +161,16 @@ def cmd_expand(args) -> int:
             need = 2 * series.bound
         stride = math.gcd(*(n - nums[0] for n in nums[1:]))
         step = Fraction(stride, series.scale) if stride else Fraction(1)
-        series = evaluate_to_bound(expr, start + step * args.terms)
+        # A nonzero term inside the printed range but off the progression
+        # refines the step to the gcd; the step only shrinks, so this ends.
+        while True:
+            series = evaluate_to_bound(expr, start + step * args.terms)
+            last = start + step * (args.terms - 1)
+            off = [e - start for e, _ in series.items() if e <= last and (e - start) % step]
+            if not off:
+                break
+            den = math.lcm(step.denominator, *(x.denominator for x in off))
+            step = Fraction(math.gcd(*(int(x * den) for x in (step, *off))), den)
     except PiqError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH

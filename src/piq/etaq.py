@@ -67,44 +67,6 @@ def index_gamma0(level: int) -> int:
     return num // den
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    # factor out twos of n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    if a < 0:
-        if n % 4 == 3:
-            sign = -sign
-        a = -a
-    a %= n
-    result = sign
-    # Jacobi symbol on the odd part by quadratic reciprocity.
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def _squarefree_kernel(n: int) -> int:
     """Sign times the product of primes dividing n to an odd power."""
     if n == 0:
@@ -351,9 +313,6 @@ class ModularityFacts:
     def satisfied(self) -> bool:
         return self.condition_a and self.condition_b and self.weight.denominator == 1
 
-    def character(self, d: int) -> int:
-        return kronecker_symbol(self.character_disc, d)
-
 
 def pi_to_eta(p: PiMonomial, level: int) -> EtaQuotient:
     """Eta-quotient form of a Pi-monomial: r_{2n} += 4k, r_n -= 2k per index."""
@@ -410,10 +369,6 @@ def cusps(level: int) -> list[Cusp]:
                 lifted = 0
             out.append(Cusp(lifted, s))
     return out
-
-
-def cusp_width(level: int, c: Cusp) -> int:
-    return level // math.gcd(c.s * c.s, level)
 
 
 def cusps_equivalent(level: int, c1: Cusp, c2: Cusp) -> bool:

@@ -539,8 +539,8 @@ class Term:
     """coef * PiMonomial * (atoms) * (at most one sqrt radical).
 
     Flattening fills the atom slot with Lambert atoms (``LambertSpec``); the
-    prover rewrites them into certified ``E2Combo``/``E4Combo`` factors, and
-    ``weight`` and ``describe`` apply to such reduced terms.
+    prover rewrites them into constants and certified ``E2Combo``/``E4Combo``
+    factors, and ``weight`` and ``describe`` apply to such reduced terms.
     """
 
     coef: Fraction

@@ -1,14 +1,13 @@
 """Eisenstein and Lambert series with reductions to certified modular combinations.
 
 Lambert sums are expanded exactly by double-sum enumeration.  The reduction
-layer is one rewrite table; every rule rewrites one atom and carries the
-citation a proof certificate records.  ``split_rule`` writes the quartic
-atom as a sum of two other atoms, and ``reduce_atom`` rewrites recognized
-Lambert patterns into combinations ``constant + sum a_d E2(d z)``; such a
-combination is a holomorphic weight-2 form on Gamma_0(lcm of scales) exactly
-when sum a_d / d = 0, which is the certification rule used by the proof
-engine.  Sums of E4(m z) are holomorphic weight-4 forms with no side
-condition.
+layer is one rewrite table: every rule rewrites one atom into (coefficient,
+factor) parts and carries the citation a proof certificate records.
+``split_rule``'s factors are atoms: it writes the quartic atom as a sum of
+two.  ``reduce_atom``'s factors are None (the constant 1) or combinations
+``sum a_d E2(d z)``, holomorphic weight-2 forms on Gamma_0(lcm of scales)
+exactly when sum a_d / d = 0, the proof engine's certification rule, or
+sums of E4(m z), holomorphic weight-4 forms with no side condition.
 """
 
 from __future__ import annotations
@@ -71,8 +70,9 @@ class LambertSpec:
         return LambertSpec(self.kind, self.a * j)
 
     def key(self):
-        """Sort key among the atoms of a term."""
-        return (self.kind, self.a, self.b)
+        """Sort key among the atoms of a term; it sorts before the E2 and E4
+        combinations, whose keys start with their weight."""
+        return (0, self.kind, self.a, self.b)
 
     def __str__(self):
         if self.kind == "LAM":
@@ -137,7 +137,7 @@ class _EisensteinCombo:
     terms: tuple[tuple[int, Fraction], ...]
 
     @classmethod
-    def make(cls, terms: Mapping[int, object], *constant):
+    def make(cls, terms: Mapping[int, object]):
         clean = {}
         for d, a in terms.items():
             a = _frac(a)
@@ -146,59 +146,44 @@ class _EisensteinCombo:
             if d < 1:
                 raise ValueError(f"E{cls.weight} scale must be positive")
             clean[int(d)] = a
-        return cls(tuple(sorted(clean.items())), *map(_frac, constant))
-
-    def _constant(self) -> tuple:
-        """The fields after ``terms``: E2's constant, nothing for E4."""
-        return ()
+        return cls(tuple(sorted(clean.items())))
 
     def __mul__(self, c):
         c = _frac(c)
-        return self.make({d: a * c for d, a in self.terms}, *(x * c for x in self._constant()))
+        return self.make({d: a * c for d, a in self.terms})
 
     __rmul__ = __mul__
 
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for d, a in other.terms:
+            acc[d] = acc.get(d, Fraction(0)) + a
+        return self.make(acc)
+
     def scaled(self, j: int):
-        return self.make({d * j: a for d, a in self.terms}, *self._constant())
+        return self.make({d * j: a for d, a in self.terms})
 
     def key(self):
         """Sort key among the atoms of a term: weight, then the terms."""
         return (self.weight, self.terms)
 
     def describe(self) -> str:
-        parts = [str(c) for c in self._constant() if c]
-        parts.append(" + ".join(f"{a}*E{self.weight}({d}z)" for d, a in self.terms))
-        return "(" + " + ".join(parts) + ")"
+        return "(" + " + ".join(f"{a}*E{self.weight}({d}z)" for d, a in self.terms) + ")"
 
     @property
     def level(self) -> int:
         return lcm(*(d for d, _ in self.terms)) if self.terms else 1
 
     def expand(self, terms: int) -> ScaledSeries:
-        # The constant part, even a zero one, keeps the sum's bound at terms.
-        parts = [(1, ScaledSeries.from_terms({0: c for c in self._constant()}, terms))]
-        parts += [(a, expand_lambert(LambertSpec(f"E{self.weight}", d), terms)) for d, a in self.terms]
+        parts = ((a, expand_lambert(LambertSpec(f"E{self.weight}", d), terms)) for d, a in self.terms)
         return ScaledSeries.linear_sum(parts)
 
 
 @dataclass(frozen=True)
 class E2Combo(_EisensteinCombo):
-    """constant + sum a_d * E2(d z), with exact rational a_d."""
+    """sum a_d * E2(d z); a weight-2 form on Gamma_0(lcm of scales) iff sum a_d/d = 0."""
 
-    constant: Fraction = Fraction(0)
     weight = 2
-
-    def _constant(self) -> tuple:
-        return (self.constant,)
-
-    def __add__(self, other: "E2Combo") -> "E2Combo":
-        acc = dict(self.terms)
-        for d, a in other.terms:
-            acc[d] = acc.get(d, Fraction(0)) + a
-        return E2Combo.make(acc, self.constant + other.constant)
-
-    def drop_constant(self) -> "E2Combo":
-        return E2Combo(self.terms, Fraction(0))
 
 
 def is_modular_combo(c: E2Combo) -> bool:
@@ -219,42 +204,33 @@ class E4Combo(_EisensteinCombo):
 # ---------------------------------------------------------------------------
 
 
-def reduce_to_e2(spec: LambertSpec) -> Optional[E2Combo]:
-    """Rewrite a Lambert atom as constant + sum a_d E2(dz), or None if unrecognized.
+def reduce_atom(spec: LambertSpec) -> Optional[tuple[tuple[tuple[Fraction, object], ...], str]]:
+    """((coefficient, factor) parts summing to one Lambert atom, citation), or None.
 
-    Registered patterns: LAM(a, 0) is (1 - E2(az))/24; LAM(2b, b) is
+    A factor is a certified ``E2Combo``/``E4Combo``, or None for the constant
+    1.  Registered patterns: LAM(a, 0) is 1/24 - E2(az)/24; LAM(2b, b) is
     (E2(2bz) - E2(bz))/24; SODD at scale m is (3E2(2mz) - E2(mz) - 2E2(4mz))/24;
-    an E2 atom is itself.
+    DL3 at scale m is (E4(mz) - E4(2mz))/240; an E2 or E4 atom is itself.
+    None for anything else: a LAM4 atom reduces only through the parts
+    ``split_rule`` gives it.
     """
-    if spec.kind == "E2":
-        return E2Combo.make({spec.a: 1})
-    if spec.kind == "SODD":
-        m = spec.a
-        return E2Combo.make({2 * m: Fraction(3, 24), m: Fraction(-1, 24), 4 * m: Fraction(-2, 24)})
-    if spec.kind == "LAM":
-        if spec.b == 0:
-            return E2Combo.make({spec.a: Fraction(-1, 24)}, Fraction(1, 24))
-        if spec.a == 2 * spec.b:
-            b = spec.b
-            return E2Combo.make({2 * b: Fraction(1, 24), b: Fraction(-1, 24)})
-    return None
-
-
-def reduce_atom(spec: LambertSpec) -> Optional[tuple[_EisensteinCombo, str]]:
-    """The certified combination equal to one Lambert atom, with its citation.
-
-    DL3 at scale m is (E4(mz) - E4(2mz))/240; an E4 atom is itself; the E2
-    patterns are those of ``reduce_to_e2``.  None for anything else: a LAM4
-    atom reduces only through the parts ``split_rule`` gives it.
-    """
+    m = spec.a
     if spec.kind == "DL3":
-        m = spec.a
         combo = E4Combo.make({m: Fraction(1, 240), 2 * m: Fraction(-1, 240)})
-        return combo, "cube-sum-to-E4-difference"
+        return ((1, combo),), "cube-sum-to-E4-difference"
     if spec.kind == "E4":
-        return E4Combo.make({spec.a: 1}), f"{spec} -> E4 combination"
-    combo = reduce_to_e2(spec)
-    return None if combo is None else (combo, f"{spec} -> E2 combination")
+        return ((1, E4Combo.make({m: 1})),), f"{spec} -> E4 combination"
+    if spec.kind == "LAM" and spec.b == 0:
+        parts = ((Fraction(1, 24), None), (1, E2Combo.make({m: Fraction(-1, 24)})))
+    elif spec.kind == "LAM" and m == 2 * spec.b:
+        parts = ((1, E2Combo.make({m: Fraction(1, 24), spec.b: Fraction(-1, 24)})),)
+    elif spec.kind == "SODD":
+        parts = ((1, E2Combo.make({2 * m: Fraction(3, 24), m: Fraction(-1, 24), 4 * m: Fraction(-2, 24)})),)
+    elif spec.kind == "E2":
+        parts = ((1, E2Combo.make({m: 1})),)
+    else:
+        return None
+    return parts, f"{spec} -> E2 combination"
 
 
 def split_rule(spec: LambertSpec) -> Optional[tuple[tuple[tuple[Fraction, LambertSpec], ...], str]]:

@@ -10,9 +10,9 @@ The pipeline for :func:`prove`:
     ``quasimod``, whose every rule rewrites one atom: ``split_rule``
     replaces each quartic atom lam4(2b,b) by (dl3(b) - lam(2b,b))/6, the
     canonical term sum merges the parts, so a quartic pair cancels to the
-    cube sum, and ``reduce_atom`` turns each remaining atom into its E2 or
-    E4 combination and the citation the certificate records.  E2 constants
-    are split off and merged with the other constant terms.
+    cube sum, and ``reduce_atom`` turns each remaining atom into parts of
+    the same shape, a constant or an E2 or E4 combination, with the
+    citation the certificate records; one multiply-out serves both rules.
     A reduced term is a ``Term`` whose atom slot holds these certified
     ``E2Combo``/``E4Combo`` factors.
 3.  If radicals remain, one squaring round: terms are grouped by radical
@@ -76,7 +76,7 @@ from .ident import (
     ts_subst,
     _key,
 )
-from .quasimod import E2Combo, is_modular_combo, reduce_atom, split_rule
+from .quasimod import E2Combo, LambertSpec, is_modular_combo, reduce_atom, split_rule
 from .series import INF, ScaledSeries, _frac, to_bound
 
 
@@ -174,73 +174,66 @@ class _Uncertifiable(PiqError):
 # ---------------------------------------------------------------------------
 
 
-def _split_atoms(terms: tuple, citations: list[str]) -> tuple:
-    """The term sum with every atom that ``split_rule`` splits replaced by its parts.
+def _rewrite(terms, rule, citations: list[str]) -> list[Term]:
+    """The terms with every atom that ``rule`` rewrites replaced by its parts.
 
-    The products of parts are multiplied out and merged by ``ts_make``, so
-    parts that cancel between terms are gone before any atom is reduced.  A
-    sum with no such atom comes back as the same tuple.
+    A rule gives ((coefficient, factor) parts, citation) or None.  Products
+    of parts are multiplied out, a None factor (the constant 1) leaves no
+    atom, and an atom without a rule stays as it is.
     """
-    if not any(split_rule(s) for t in terms for s in t.lamberts):
-        return terms
     out: list[Term] = []
     for t in terms:
         branches = [(t.coef, ())]
         for spec in t.lamberts:
-            hit = split_rule(spec)
+            hit = rule(spec)
             if hit:
                 citations.append(hit[1])
             parts = hit[0] if hit else ((1, spec),)
-            branches = [(c * a, atoms + (s,)) for c, atoms in branches for a, s in parts]
+            branches = [(c * a, atoms if f is None else atoms + (f,)) for c, atoms in branches for a, f in parts]
         out.extend(Term(c, t.pi, tuple(sorted(atoms, key=_key)), t.sqrts) for c, atoms in branches)
-    return ts_make(out)
+    return out
 
 
-def _split_constants(coef, e2s, pi, e4s, sqrts) -> list[Term]:
-    """Terms of coef * prod(e2s) * pi * prod(e4s) * sqrts, with each E2
-    combination's constant split off into terms of its own."""
-    branches = [(coef, ())]
-    for combo in e2s:
-        nxt = []
-        for c, mods in branches:
-            if combo.terms:
-                nxt.append((c, mods + (combo.drop_constant(),)))
-            if combo.constant != 0:
-                nxt.append((c * combo.constant, mods))
-        branches = nxt
-    return [Term(c, pi, tuple(sorted(mods + e4s, key=_key)), sqrts) for c, mods in branches]
+def _split_atoms(terms: tuple, citations: list[str]) -> tuple:
+    """The term sum with every atom that ``split_rule`` splits replaced by its parts.
+
+    The parts are merged by ``ts_make``, so parts that cancel between terms
+    are gone before any atom is reduced.  A sum with no such atom comes back
+    as the same tuple.
+    """
+    if not any(split_rule(s) for t in terms for s in t.lamberts):
+        return terms
+    return ts_make(_rewrite(terms, split_rule, citations))
 
 
 def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
-    """Rewrite Lambert atoms to certified combinations and split constants.
+    """Rewrite Lambert atoms to constants and certified combinations.
 
-    Atoms with a split rule are first replaced by their parts.  Terms with
-    exactly one E2 combination and equal other factors fold into one term
-    carrying the coefficient-weighted sum; the fold is what turns a list of
+    Atoms with a split rule are first replaced by their parts, and then
+    every atom by the parts ``reduce_atom`` gives it.  Terms with exactly
+    one E2 combination and equal other factors fold into one term carrying
+    the coefficient-weighted sum; the fold is what turns a list of
     individually quasimodular Lambert sums into one certifiable combination.
     """
     citations: list[str] = []
     out: list[Term] = []
     folds: dict = {}  # (pi, E4 factors, radicals) -> accumulated E2 combination
-    for t in _split_atoms(terms, citations):
-        e2s, e4s = [], []
+    for t in _rewrite(_split_atoms(terms, citations), reduce_atom, citations):
         for spec in t.lamberts:
-            hit = reduce_atom(spec)
-            if hit is None:
+            if isinstance(spec, LambertSpec):
                 raise _Uncertifiable(f"irreducible Lambert pattern {spec}")
-            combo, citation = hit
-            (e2s if isinstance(combo, E2Combo) else e4s).append(combo)
-            citations.append(citation)
         for atom in t.sqrts:
             if any(u.lamberts for u in atom.inner):
                 raise _Uncertifiable("Lambert series under a radical")
-        key = (t.pi, tuple(sorted(e4s, key=_key)), t.sqrts)
+        e2s = [c for c in t.lamberts if isinstance(c, E2Combo)]
         if len(e2s) == 1:
+            key = (t.pi, t.lamberts[1:], t.sqrts)  # an E2 key sorts before every E4 key
             folds[key] = folds.get(key, E2Combo.make({})) + e2s[0] * t.coef
         else:
-            out.extend(_split_constants(t.coef, e2s, *key))
-    for key, total in folds.items():
-        out.extend(_split_constants(Fraction(1), [total], *key))
+            out.append(t)
+    for (pi, e4s, sqrts), total in folds.items():
+        if total.terms:
+            out.append(Term(Fraction(1), pi, (total,) + e4s, sqrts))
     return ts_make(out), sorted(set(citations))
 
 

@@ -52,6 +52,16 @@ class TestExpand:
         assert code == 0
         assert out.splitlines() == lines
 
+    def test_term_off_the_probed_stride_refines_the_step(self, capsys):
+        # The probe sees lam(4,0) on multiples of 4; pi(402) starts at q^(201/2).
+        code, out, _ = run(capsys, "expand", "lam(4,0)+pi(402)", "--terms", "30")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 30 and lines[:3] == ["4 1", "9/2 0", "5 0"] and lines[-1] == "37/2 0"
+        code, out, _ = run(capsys, "expand", "lam(4,0)+pi(402)", "--terms", "200")
+        assert code == 0
+        assert "100 31" in out.splitlines() and "201/2 1" in out.splitlines()
+
     def test_sum_of_far_apart_monomials_asks_for_few_steps(self, capsys, monkeypatch):
         # Each pi(6000) reaches q^13500 in 8 steps of q^6000, not 13,504.
         steps = []

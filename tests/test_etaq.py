@@ -11,13 +11,11 @@ from piq.etaq import (
     Cusp,
     EtaQuotient,
     PiMonomial,
-    cusp_width,
     cusps,
     cusps_equivalent,
     divisors,
     euler_phi,
     index_gamma0,
-    kronecker_symbol,
     ligozat_value,
     modularity_facts,
     order_at_cusp,
@@ -26,26 +24,6 @@ from piq.etaq import (
     _expansion,
 )
 from piq.series import ScaledSeries, eta_expansion, psi_expansion
-
-
-def brute_jacobi(a, n):
-    """Oracle for odd positive n via Euler's criterion and multiplicativity."""
-    assert n > 0 and n % 2 == 1
-    result = 1
-    m = n
-    p = 3
-    while m > 1:
-        while m % p == 0:
-            m //= p
-            if a % p == 0:
-                result = 0
-            else:
-                euler = pow(a % p, (p - 1) // 2, p)
-                result *= 1 if euler == 1 else -1
-        p += 2
-        if p * p > m and m > 1:
-            p = m
-    return result
 
 
 class TestPiToEta:
@@ -313,34 +291,6 @@ class TestExpansionMemo:
         assert info.misses > EXPANSION_MEMO_SIZE
         assert info.currsize <= info.maxsize == EXPANSION_MEMO_SIZE
         _expansion.cache_clear()
-
-
-class TestKronecker:
-    def test_against_jacobi_oracle(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            a = rng.randint(-40, 40)
-            n = rng.choice([1, 3, 5, 7, 9, 15, 21, 35, 45])
-            assert kronecker_symbol(a, n) == brute_jacobi(a, n)
-
-    def test_two_and_sign_conventions(self):
-        assert kronecker_symbol(7, 2) == 1
-        assert kronecker_symbol(3, 2) == -1
-        assert kronecker_symbol(-1, 3) == -1
-        assert kronecker_symbol(2, 0) == 0
-        assert kronecker_symbol(1, 0) == 1
-
-    def test_character_from_facts(self):
-        facts = modularity_facts(pi_to_eta(PiMonomial.make({1: 4}), 2))
-        # weight 4: chi(d) = ((+1)/d) is trivial on units
-        assert facts.character(1) == 1
-        assert facts.character(5) == 1
-
-
-class TestCuspWidth:
-    def test_widths_level8(self):
-        widths = {c.label(8): cusp_width(8, c) for c in cusps(8)}
-        assert widths == {"0": 8, "1/2": 2, "1/4": 1, "oo": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ class TestNormalize:
         assert ts_make([two_e2, only_e4]) == (only_e4, two_e2)
         assert only_e4.weight == 6 and two_e2.weight == 6
         assert two_e2.describe() == "3 * Pi[2]^2 * (-1*E2(1z) + 2*E2(2z)) * (-1*E2(2z) + 2*E2(4z))"
-        assert E2Combo.make({1: -1}, F(1, 24)).describe() == "(1/24 + -1*E2(1z))"
+        assert E2Combo.make({1: F(-1, 24)}).describe() == "(-1/24*E2(1z))"
 
 
 def _reference_evaluate(expr, terms):

@@ -11,7 +11,6 @@ from piq.quasimod import (
     expand_lambert,
     is_modular_combo,
     reduce_atom,
-    reduce_to_e2,
     sigma,
     split_rule,
 )
@@ -102,30 +101,42 @@ REDUCIBLE = [
 ]
 
 
+def _parts_series(rule, spec, terms):
+    """The sum of a rule's parts: atoms expanded by the oracle, combinations
+    by their own expansion, and a None factor counted as 1."""
+    parts, _ = rule(spec)
+
+    def factor(f):
+        if f is None:
+            return ScaledSeries.one()
+        return expand_lambert(f, terms) if isinstance(f, LambertSpec) else f.expand(terms)
+
+    return ScaledSeries.linear_sum((a, factor(f)) for a, f in parts)
+
+
 class TestReduce:
     def test_lam_1_0(self):
-        combo = reduce_to_e2(LambertSpec("LAM", 1, 0))
-        assert dict(combo.terms) == {1: F(-1, 24)}
-        assert combo.constant == F(1, 24)
+        parts, _ = reduce_atom(LambertSpec("LAM", 1, 0))
+        assert parts == ((F(1, 24), None), (1, E2Combo.make({1: F(-1, 24)})))
 
     def test_lam_2_1(self):
-        combo = reduce_to_e2(LambertSpec("LAM", 2, 1))
-        assert dict(combo.terms) == {2: F(1, 24), 1: F(-1, 24)}
+        parts, _ = reduce_atom(LambertSpec("LAM", 2, 1))
+        assert parts == ((1, E2Combo.make({2: F(1, 24), 1: F(-1, 24)})),)
 
     def test_lam_18_9_scaled(self):
-        combo = reduce_to_e2(LambertSpec("LAM", 18, 9))
-        assert dict(combo.terms) == {18: F(1, 24), 9: F(-1, 24)}
+        parts, _ = reduce_atom(LambertSpec("LAM", 18, 9))
+        assert parts == ((1, E2Combo.make({18: F(1, 24), 9: F(-1, 24)})),)
 
     def test_unrecognized_returns_none(self):
-        assert reduce_to_e2(LambertSpec("LAM", 3, 1)) is None
-        assert reduce_to_e2(LambertSpec("LAM4", 2, 1)) is None
-        assert reduce_to_e2(LambertSpec("DL3", 1)) is None
+        assert reduce_atom(LambertSpec("LAM", 3, 1)) is None
+        assert reduce_atom(LambertSpec("LAM4", 2, 1)) is None
+        # The cube sum reduces to E4 factors only.
+        parts, _ = reduce_atom(LambertSpec("DL3", 1))
+        assert all(isinstance(f, E4Combo) for _, f in parts)
 
     @pytest.mark.parametrize("spec", REDUCIBLE, ids=str)
     def test_reduction_agrees_with_enumeration_to_50(self, spec):
-        combo = reduce_to_e2(spec)
-        assert combo is not None
-        assert combo.expand(50).agrees_with(expand_lambert(spec, 50))
+        assert _parts_series(reduce_atom, spec, 50).agrees_with(expand_lambert(spec, 50))
 
 
 class TestModularCombo:
@@ -157,7 +168,7 @@ class TestComboRules:
             LambertSpec("LAM", 2, 1), 50
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
-        assert _split_series(LambertSpec("LAM4", 2, 1), 50).agrees_with(
+        assert _parts_series(split_rule, LambertSpec("LAM4", 2, 1), 50).agrees_with(
             expand_lambert(LambertSpec("LAM4", 2, 1), 50)
         )
 
@@ -168,7 +179,7 @@ class TestComboRules:
             LambertSpec("LAM", 2, 1), 50
         )
         assert not lhs.agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
-        wrong = _split_series(LambertSpec("LAM4", 2, 1), 50) * F(6, 5)
+        wrong = _parts_series(split_rule, LambertSpec("LAM4", 2, 1), 50) * F(6, 5)
         assert not wrong.agrees_with(expand_lambert(LambertSpec("LAM4", 2, 1), 50))
 
     def test_scaled_pair(self):
@@ -178,21 +189,15 @@ class TestComboRules:
             LambertSpec("LAM", 6, 3), 60
         )
         assert lhs.agrees_with(expand_lambert(LambertSpec("DL3", 3), 60))
-        assert _split_series(LambertSpec("LAM4", 6, 3), 60).agrees_with(
+        assert _parts_series(split_rule, LambertSpec("LAM4", 6, 3), 60).agrees_with(
             expand_lambert(LambertSpec("LAM4", 6, 3), 60)
         )
 
     def test_cube_sum_to_e4(self):
-        combo, rule = reduce_atom(LambertSpec("DL3", 1))
+        ((a, combo),), rule = reduce_atom(LambertSpec("DL3", 1))
         assert rule == "cube-sum-to-E4-difference"
-        assert isinstance(combo, E4Combo)
+        assert a == 1 and isinstance(combo, E4Combo)
         assert combo.expand(50).agrees_with(expand_lambert(LambertSpec("DL3", 1), 50))
-
-
-def _split_series(spec, terms):
-    """The sum of split_rule's parts, each expanded by the oracle."""
-    parts, _ = split_rule(spec)
-    return ScaledSeries.linear_sum((a, expand_lambert(part, terms)) for a, part in parts)
 
 
 class TestPairRule:
@@ -203,8 +208,8 @@ class TestPairRule:
         parts, _ = split_rule(spec)
         assert [p for _, p in parts] == [LambertSpec("DL3", b), LambertSpec("LAM", 2 * b, b)]
         atom = expand_lambert(spec, 60)
-        assert _split_series(spec, 60).agrees_with(atom)
-        wrong = _split_series(spec, 60) + atom
+        assert _parts_series(split_rule, spec, 60).agrees_with(atom)
+        wrong = _parts_series(split_rule, spec, 60) + atom
         assert not wrong.agrees_with(atom)
 
     @pytest.mark.parametrize(
@@ -234,8 +239,7 @@ class TestReduceAtom:
     @pytest.mark.parametrize("seed", range(5))
     def test_combination_expands_to_the_atom(self, seed):
         for spec in _random_atoms(seed):
-            combo, _ = reduce_atom(spec)
-            assert combo.expand(60).agrees_with(expand_lambert(spec, 60)), spec
+            assert _parts_series(reduce_atom, spec, 60).agrees_with(expand_lambert(spec, 60)), spec
 
     @pytest.mark.parametrize(
         "spec,citation",
@@ -253,10 +257,6 @@ class TestReduceAtom:
     def test_citation(self, spec, citation):
         assert reduce_atom(spec)[1] == citation
 
-    def test_e2_section_is_reduce_to_e2(self):
-        for spec in REDUCIBLE:
-            assert reduce_atom(spec)[0] == reduce_to_e2(spec)
-
     @pytest.mark.parametrize(
         "spec",
         [LambertSpec("LAM", 3, 1), LambertSpec("LAM4", 3, 1), LambertSpec("LAM4", 2, 1)],
@@ -267,11 +267,33 @@ class TestReduceAtom:
         assert reduce_atom(spec) is None
 
 
+RULE_KINDS = {
+    "LAM(a,0)": lambda k: LambertSpec("LAM", k, 0),
+    "LAM(2b,b)": lambda k: LambertSpec("LAM", 2 * k, k),
+    "SODD": lambda k: LambertSpec("SODD", k),
+    "DL3": lambda k: LambertSpec("DL3", k),
+    "E2": lambda k: LambertSpec("E2", k),
+    "E4": lambda k: LambertSpec("E4", k),
+    "LAM4(2b,b)": lambda k: LambertSpec("LAM4", 2 * k, k),
+}
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    def test_parts_sum_to_the_atom_to_200(self, kind):
+        # Exactly one of the two rules is registered for each kind.
+        for scale in range(1, 7):
+            spec = RULE_KINDS[kind](scale)
+            (rule,) = [r for r in (split_rule, reduce_atom) if r(spec)]
+            got = _parts_series(rule, spec, 200)
+            assert got.agrees_with(expand_lambert(spec, 200), upto=200), spec
+
+
 class TestCombinations:
     def test_e4_describe(self):
         combo = E4Combo.make({1: F(1, 240), 2: F(-1, 240)})
         assert combo.describe() == "(1/240*E4(1z) + -1/240*E4(2z))"
-        assert E2Combo.make({2: 1}, F(1, 24)).describe() == "(1/24 + 1*E2(2z))"
+        assert E2Combo.make({2: 1}).describe() == "(1*E2(2z))"
 
     def test_weights_never_equal(self):
         e2, e4 = E2Combo.make({1: 1, 2: -1}), E4Combo.make({1: 1, 2: -1})
@@ -288,9 +310,10 @@ class TestCombinations:
         e4 = E4Combo.make({1: F(1, 240), 2: F(-1, 240)})
         assert (e4 * 240).scaled(3) == E4Combo.make({3: 1, 6: -1})
         assert (e4 * 0).terms == ()
-        e2 = 2 * E2Combo.make({1: -1}, F(1, 24))
-        assert e2 == E2Combo.make({1: -2}, F(1, 12))
-        assert e2.scaled(2).constant == F(1, 12) and e2.level == 1
+        e2 = 2 * E2Combo.make({1: -1})
+        assert e2 == E2Combo.make({1: -2})
+        assert e2 + E2Combo.make({1: 2, 3: 1}) == E2Combo.make({3: 1})
+        assert e2.scaled(2).level == 2 and e2.level == 1
 
 
 class TestEisensteinAnchor:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -345,6 +346,43 @@ class TestLambertPairsInOtherRatios:
             ):
                 rep = prove(parse_identity(mutant, id="mutant"))
                 assert rep.verdict != "PROVEN", (mutant, rep.detail)
+
+
+class TestLambertProducts:
+    """Five corpus-true Lambert identities times reducible atoms, their
+    products, and modular controls, in three shapes."""
+
+    IDENTITIES = (
+        ("lam(1,0) - 4*lam(4,0)", "1/8*(pi(1)^4/pi(2)^2 - 1)"),
+        ("lam(2,1) - 2*lam(4,2)", "pi(2)^2"),
+        ("sodd()", "pi(2)^2"),
+        ("lam(1,0) - 2*lam(2,0)", "1/24*(pi(1)^4/pi(2)^2 - 1) + 2/3*pi(2)^2"),
+        ("lam(2,1) - 3*lam(6,3)", "pi(1)*pi(3)"),
+    )
+    MULTIPLIERS = ("lam(1,0)", "sodd()", "E2(1)", "lam(1,0)^2", "lam(2,1)", "E4(1)", "dl3()",
+                   "lam(1,0)*sodd()", "pi(1)^2")
+    SHAPES = ("({l})*{m} = ({r})*{m}", "{m}*({l}) + {m} = {m}*({r}) + {m}", "({l})*{m} - ({r})*{m} = 0")
+
+    def test_verdicts_and_checks(self):
+        verdicts = collections.Counter()
+        for (l, r), m, shape in itertools.product(self.IDENTITIES, self.MULTIPLIERS, self.SHAPES):
+            rec = parse_identity(shape.format(l=l, r=r, m=m), id="grid")
+            rep = prove(rec)
+            verdicts[rep.verdict] += 1
+            if rep.verdict == "PROVEN":
+                assert check(rec, 6 * rep.sturm_bound + 40).verdict == "CHECKED", rec.dsl
+        assert verdicts == {"PROVEN": 48, "UNCERTIFIED": 87}
+
+    def test_one_e2_combination_left_after_the_multiply_out_is_folded(self):
+        # lam(1,0)*sodd() splits into 1/24*sodd() and an E2 product; the
+        # first folds with the other one-E2 terms, which fail sum a_d/d = 0.
+        dsl = "(lam(1,0) - 4*lam(4,0))*sodd() = (1/8*(pi(1)^4/pi(2)^2 - 1))*sodd()"
+        rep = prove(parse_identity(dsl))
+        assert rep.verdict == "UNCERTIFIED"
+        assert rep.detail == (
+            "E2 combination ((1, Fraction(-1, 24)),) fails sum a_d/d = 0; "
+            "first 60 coefficients agree (not a proof)"
+        )
 
 
 class TestProvenSoundnessSpotChecks:
