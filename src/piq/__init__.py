@@ -40,6 +40,7 @@ from .quasimod import (
     E2Combo,
     E4Combo,
     LambertSpec,
+    e2_split_rule,
     expand_lambert,
     is_modular_combo,
     reduce_atom,

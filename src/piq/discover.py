@@ -22,7 +22,7 @@ from typing import Sequence
 from .errors import PiqError, Unbounded
 from .etaq import PiMonomial, index_gamma0
 from .ident import parse_identity
-from .linalg import kernel_basis, rank, series_window_matrix
+from .linalg import independent, kernel_basis, series_window_matrix
 from .verify import ProofReport, prove, sturm_bound
 
 
@@ -75,11 +75,6 @@ def enumerate_monomials(indices: Sequence[int], degree: int) -> dict[int, list[P
         mono = PiMonomial.make({n: k for n, k in zip(idx, exps)})
         out.setdefault(residue, []).append(mono)
     return out
-
-
-def monomial_count(indices: Sequence[int], degree: int) -> int:
-    m = len(tuple(indices))
-    return math.comb(degree + m - 1, m - 1)
 
 
 def gosper_bound(query: DiscoveryQuery) -> int:
@@ -165,12 +160,10 @@ def mine(query: DiscoveryQuery) -> list[DiscoveredRelation]:
             if not kernel:
                 continue
             span = _inherited_span(relations, query.indices, degree, residue, monomials)
-            span_rank = rank(span)
-            for vec in kernel:
-                if rank(span + [vec]) == span_rank:
+            new = set(independent(span + kernel))
+            for i, vec in enumerate(kernel, len(span)):
+                if i not in new:
                     continue
-                span.append(vec)
-                span_rank += 1
                 dsl = _relation_dsl(monomials, vec)
                 rec = parse_identity(
                     dsl, id=f"mined-{'.'.join(map(str, query.indices))}-d{degree}-c{residue}-{len(relations)}"

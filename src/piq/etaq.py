@@ -107,9 +107,6 @@ class EtaQuotient:
             clean[int(delta)] = int(r)
         return cls(level, tuple(sorted(clean.items())))
 
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
-
     @property
     def weight(self) -> Fraction:
         return Fraction(sum(r for _, r in self.exponents), 2)

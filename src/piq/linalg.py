@@ -1,4 +1,4 @@
-"""Exact rational kernels and ranks for discovery and hauptmodul fitting."""
+"""Exact rational kernels and independent rows for discovery and hauptmodul fitting."""
 
 from __future__ import annotations
 
@@ -85,11 +85,15 @@ def _eliminate(a: list[list[int]], cols: int) -> list[int]:
     return pivot_cols
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of equally long integer rows (0 for no rows)."""
+def independent(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the rows that lie outside the span of the rows before them.
+
+    These are the pivot columns of the transpose's echelon form, as a column
+    is a pivot exactly when it is no combination of the columns before it.
+    """
     if not rows:
-        return 0
-    return len(_eliminate([list(r) for r in rows], len(rows[0])))
+        return []
+    return _eliminate([list(col) for col in zip(*rows)], len(rows))
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[int, ...]]:

@@ -6,8 +6,10 @@ factor) parts and carries the citation a proof certificate records.
 ``split_rule``'s factors are atoms: it writes the quartic atom as a sum of
 two.  ``reduce_atom``'s factors are None (the constant 1) or combinations
 ``sum a_d E2(d z)``, holomorphic weight-2 forms on Gamma_0(lcm of scales)
-exactly when sum a_d / d = 0, the proof engine's certification rule, or
-sums of E4(m z), holomorphic weight-4 forms with no side condition.
+exactly when sum a_d / d = 0, or sums of E4(m z), holomorphic weight-4 forms
+with no side condition.  ``e2_split_rule`` writes an E2 combination that is
+not modular as a multiple of E2(z) plus a modular combination, so that every
+factor of a reduced term is a modular form or E2(z) itself.
 """
 
 from __future__ import annotations
@@ -244,3 +246,17 @@ def split_rule(spec: LambertSpec) -> Optional[tuple[tuple[tuple[Fraction, Lamber
     sixth = Fraction(1, 6)
     parts = ((sixth, LambertSpec("DL3", spec.b)), (-sixth, LambertSpec("LAM", spec.a, spec.b)))
     return parts, "lam4-pair-to-cube-sum"
+
+
+def e2_split_rule(factor) -> Optional[tuple[tuple[tuple[Fraction, E2Combo], ...], str]]:
+    """((coefficient, combination) parts summing to a non-modular E2 combination, citation), or None.
+
+    C = sum a_d E2(d z) with s = sum a_d/d != 0 is s*E2(z) + (C - s*E2(z)),
+    a modular part as E2(z) - d*E2(d z) lies in M_2(Gamma_0(d)).
+    """
+    if not isinstance(factor, E2Combo) or is_modular_combo(factor):
+        return None
+    s = sum((a / d for d, a in factor.terms), Fraction(0))
+    rest = factor + E2Combo.make({1: -s})
+    parts = ((s, E2Combo.make({1: 1})),) + (((1, rest),) if rest.terms else ())
+    return parts, "E2(z) split off every E2 combination with sum a_d/d != 0"

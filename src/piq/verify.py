@@ -13,8 +13,11 @@ The pipeline for :func:`prove`:
     cube sum, and ``reduce_atom`` turns each remaining atom into parts of
     the same shape, a constant or an E2 or E4 combination, with the
     citation the certificate records; one multiply-out serves both rules.
-    A reduced term is a ``Term`` whose atom slot holds these certified
-    ``E2Combo``/``E4Combo`` factors.
+    Terms with one E2 combination and equal other factors fold into one,
+    which keeps the term count down, and ``e2_split_rule`` writes each
+    combination that is not modular as s*E2(z) + (a modular combination).
+    A reduced term's atom slot holds modular ``E2Combo``/``E4Combo`` factors
+    and j factors E2(z); j is its E2 degree.
 3.  If radicals remain, one squaring round: terms are grouped by radical
     signature (at most two groups after an optional radical multiplication
     that merges reciprocal radicals), each group sum A*sqrt(R) is squared as
@@ -22,30 +25,32 @@ The pipeline for :func:`prove`:
     sides is recorded as an extra obligation.  A first unsquared side that
     vanishes on its first window is instead put through steps 4-6 without
     its radicals, as the identity "radical-free part = 0".
-4.  Homogeneity: all terms must share an integral total weight and a common
-    residue of sum(k_i n_i) mod 4; the residue fixes the substitution
-    exponent m in {1, 2, 4}, applied to Pi indices and combination scales.
+4.  Every term must have a Pi part of integral weight and the common
+    residue of sum(k_i n_i) mod 4, which fixes the substitution exponent m
+    in {1, 2, 4}, applied to Pi indices and combination scales.
 5.  The level is N = lcm(2 m lcm(n_i), all combination scales).  Every term
-    must be holomorphic: nonnegative cusp orders for the Pi part and
-    certified combinations (sum a_d/d = 0 for E2; E4 sums are
-    unconditional).  The clearing monomial leaves every Pi exponent
+    must be holomorphic: nonnegative cusp orders for the Pi part, and
+    modular combinations.  The clearing monomial leaves every Pi exponent
     nonnegative, and as Pi_n = eta(2nz)^4/eta(nz)^2 the order of Pi_n at a
     cusp c/s is a nonnegative multiple of gcd(s,2n)^2 - gcd(s,n)^2 >= 0.
     The orders are still checked: a negative one leaves the identity
     uncertified.  Each monomial's order row over the cusps of a level is
     computed once per process and read from a bounded memo after that, as
     is each level's cusp list.
-6.  The terms of both sides are grouped by the quadratic character of their
-    Pi part, keyed by ``PiMonomial.character_disc`` (E2 and E4 combinations
-    have trivial character).  As M_k(Gamma_1(N)) is the direct sum of the
-    spaces M_k(N, chi), the identity holds iff every group's two sums agree,
-    and each group's difference lies in one M_k(N, chi), whose Sturm bound
-    is that of Gamma_0(N) (Stein, Cor. 9.19).  Each group's sides are
-    expanded past the bound floor(k * [SL2(Z):Gamma_0(N)] / 12) + 1, every
-    Pi monomial by ``PiMonomial.expand_to``, which stops less than one
-    kernel step of q^min(index) past the bound + 4, and every radicand as a
-    term sum of its own; the sides are compared below the bound on the
-    integer numerators of their difference.
+6.  The terms of both sides are grouped by E2 degree j, weight w and the
+    character of their Pi part (``PiMonomial.character_disc``), with their
+    j factors E2(mz) divided out: the difference is the sum of E2(mz)^j g
+    over the groups, each g in one M_{w-2j}(N, chi), whose Sturm bound is
+    that of Gamma_0(N) (Stein, Cor. 9.19) and at most the bound at k, the
+    largest weight in the difference.  Each group's sides are expanded past
+    that bound, every Pi monomial by ``PiMonomial.expand_to``, and compared
+    below it on the integer numerators of their difference.  If every g is
+    zero, so is the difference.  A mismatch in one g, which the report names
+    unless the difference is one part of E2 degree 0, refutes the identity:
+    the ring of modular forms on Gamma_1(N) is the direct sum of the
+    M_k(N, chi), and E2 is algebraically independent over it (Kaneko-Zagier
+    1995; Royer, Quasimodular forms: an introduction, 2012), as is
+    E2(mz) = E2(z)/m + (a modular form).
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from .ident import (
     ts_subst,
     _key,
 )
-from .quasimod import E2Combo, LambertSpec, is_modular_combo, reduce_atom, split_rule
+from .quasimod import E2Combo, LambertSpec, e2_split_rule, reduce_atom, split_rule
 from .series import INF, ScaledSeries, _frac, to_bound
 
 
@@ -123,8 +128,8 @@ class TermFacts:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Facts establishing that the compared difference is a form of the stated
-    weight and level, holomorphic at every cusp."""
+    """Facts establishing that every compared part of the difference is a form
+    of at most the stated weight, at the stated level, holomorphic at every cusp."""
 
     weight: int
     level: int
@@ -174,51 +179,46 @@ class _Uncertifiable(PiqError):
 # ---------------------------------------------------------------------------
 
 
-def _rewrite(terms, rule, citations: list[str]) -> list[Term]:
-    """The terms with every atom that ``rule`` rewrites replaced by its parts.
+def _rewrite(terms, rule, citations: list[str]) -> tuple:
+    """The term sum with every atom that ``rule`` rewrites replaced by its parts.
 
     A rule gives ((coefficient, factor) parts, citation) or None.  Products
     of parts are multiplied out, a None factor (the constant 1) leaves no
-    atom, and an atom without a rule stays as it is.
+    atom, and an atom without a rule stays as it is.  The parts are merged
+    by ``ts_make``, so parts that cancel between terms are gone before the
+    next rule runs; a sum with no atom to rewrite comes back as it is.
     """
     out: list[Term] = []
+    hit_any = False
     for t in terms:
+        if not t.lamberts:
+            out.append(t)
+            continue
         branches = [(t.coef, ())]
         for spec in t.lamberts:
             hit = rule(spec)
             if hit:
                 citations.append(hit[1])
+                hit_any = True
             parts = hit[0] if hit else ((1, spec),)
             branches = [(c * a, atoms if f is None else atoms + (f,)) for c, atoms in branches for a, f in parts]
         out.extend(Term(c, t.pi, tuple(sorted(atoms, key=_key)), t.sqrts) for c, atoms in branches)
-    return out
-
-
-def _split_atoms(terms: tuple, citations: list[str]) -> tuple:
-    """The term sum with every atom that ``split_rule`` splits replaced by its parts.
-
-    The parts are merged by ``ts_make``, so parts that cancel between terms
-    are gone before any atom is reduced.  A sum with no such atom comes back
-    as the same tuple.
-    """
-    if not any(split_rule(s) for t in terms for s in t.lamberts):
-        return terms
-    return ts_make(_rewrite(terms, split_rule, citations))
+    return ts_make(out) if hit_any else terms
 
 
 def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
-    """Rewrite Lambert atoms to constants and certified combinations.
+    """Rewrite Lambert atoms to constants, modular combinations and E2(z).
 
     Atoms with a split rule are first replaced by their parts, and then
     every atom by the parts ``reduce_atom`` gives it.  Terms with exactly
     one E2 combination and equal other factors fold into one term carrying
-    the coefficient-weighted sum; the fold is what turns a list of
-    individually quasimodular Lambert sums into one certifiable combination.
+    the coefficient-weighted sum, which keeps the term count down.  Last,
+    ``e2_split_rule`` splits E2(z) off every combination that is not modular.
     """
     citations: list[str] = []
     out: list[Term] = []
     folds: dict = {}  # (pi, E4 factors, radicals) -> accumulated E2 combination
-    for t in _rewrite(_split_atoms(terms, citations), reduce_atom, citations):
+    for t in _rewrite(_rewrite(terms, split_rule, citations), reduce_atom, citations):
         for spec in t.lamberts:
             if isinstance(spec, LambertSpec):
                 raise _Uncertifiable(f"irreducible Lambert pattern {spec}")
@@ -234,7 +234,7 @@ def _reduce_side(terms: Sequence[Term]) -> tuple[tuple[Term, ...], list[str]]:
     for (pi, e4s, sqrts), total in folds.items():
         if total.terms:
             out.append(Term(Fraction(1), pi, (total,) + e4s, sqrts))
-    return ts_make(out), sorted(set(citations))
+    return _rewrite(ts_make(out), e2_split_rule, citations), sorted(set(citations))
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +331,6 @@ def _cusp_row(halves: tuple, level: int) -> tuple[Fraction, ...]:
     """Orders of PiMonomial(halves) over _cusp_list(level), once per pair."""
     mono = PiMonomial(halves)
     return tuple(pi_order_at_cusp(mono, c, level) for c in _cusp_list(level))
-
-
-def _common_weight(terms) -> Fraction:
-    weights = {t.weight for t in terms}
-    if len(weights) > 1:
-        raise _Uncertifiable(f"non-homogeneous weights [{', '.join(map(str, sorted(weights)))}]")
-    return next(iter(weights)) if weights else Fraction(0)
 
 
 def _common_residue(terms) -> int:
@@ -470,11 +463,8 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
 
     # All certification data comes from the one-sided difference, where any
     # term shared by both sides (for example split-off combination constants)
-    # cancels and imposes no homogeneity constraint.
+    # cancels and imposes no constraint.
     diff = ts_add(lhs, ts_neg(rhs))
-    weight = _common_weight(diff)
-    if weight.denominator != 1:
-        raise _Uncertifiable(f"half-integral total weight {weight}")
     for t in diff:
         if t.pi.weight.denominator != 1:
             raise _Uncertifiable(f"half-integral Pi weight in term {t.describe()}")
@@ -484,53 +474,55 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
 
     indices = sorted({n for t in diff for n in t.pi.indices()})
     level = 2 * math.lcm(*indices) if indices else 1
-    for t in diff:
-        for combo in t.lamberts:
-            level = math.lcm(level, combo.level)
+    level = math.lcm(level, *(c.level for t in diff for c in t.lamberts))
 
     cusp_list = _cusp_list(level)
     for t in diff:
         for c, o in zip(cusp_list, _cusp_row(t.pi.halves, level)):
             if o < 0:
-                raise _Uncertifiable(
-                    f"term {t.describe()} has order {o} at cusp {c.label(level)}"
-                )
+                raise _Uncertifiable(f"term {t.describe()} has order {o} at cusp {c.label(level)}")
         if t.sqrts:
             raise _Uncertifiable("radical survived the squaring round")
-        for combo in t.lamberts:
-            if isinstance(combo, E2Combo) and not is_modular_combo(combo):
-                raise _Uncertifiable(
-                    f"E2 combination {combo.terms} fails sum a_d/d = 0"
-                )
 
-    k = int(weight) if diff else 0
-    if k < 0:
-        raise _Uncertifiable(f"negative certified weight {k}")
-    bound = sturm_bound(level, k)
-    if bound > cfg.max_coefficients:
-        raise _Uncertifiable(
-            f"Sturm bound {bound} exceeds configured ceiling {cfg.max_coefficients}"
-        )
-
-    groups: dict[int, tuple[list, list]] = {}
+    # One group per (E2 degree j, weight, character): the terms with j
+    # factors E2(z), which the substitution made E2(mz), divided out.
+    e2 = E2Combo.make({m: 1})
+    groups: dict[tuple, tuple[list, list]] = {}
     for side, terms in enumerate((lhs, rhs)):
         for t in terms:
-            groups.setdefault(t.pi.character_disc, ([], []))[side].append(t)
+            j = t.lamberts.count(e2)
+            key = (j, t.weight, t.pi.character_disc)
+            if j:
+                t = Term(t.coef, t.pi, tuple(c for c in t.lamberts if c != e2), t.sqrts)
+            groups.setdefault(key, ([], []))[side].append(t)
+    # Both sides are canonical term sums, so a group cancels in the
+    # difference exactly when its two lists are equal.
+    groups = {key: g for key, g in groups.items() if g[0] != g[1]}
+    parts = sorted({key[:2] for key in groups})
+    k = int(max((w for _, w in parts), default=0))
+    whole = parts in ([], [(0, k)])  # the difference is one modular form
+    bound = sturm_bound(level, k)
+    if bound > cfg.max_coefficients:
+        raise _Uncertifiable(f"Sturm bound {bound} exceeds configured ceiling {cfg.max_coefficients}")
+
     facts = dict(
         id=rid, weight=k, level=level, subst_exponent=m, clearing_multiplier=clearing, sturm_bound=bound
     )
-    first = None  # (e, cl, cr) of the earliest mismatch; ties keep the smaller disc
-    for disc in sorted(groups):
-        s_l, s_r = (rts_series(ts, bound) for ts in groups[disc])
-        first = _first_mismatch(s_l, s_r, 0, 1, bound if first is None else first[0]) or first
+    first = None  # (e, cl, cr, part) of the earliest mismatch; ties keep the earlier group
+    for key in sorted(groups):
+        s_l, s_r = (rts_series(ts, bound) for ts in groups[key])
+        hit = _first_mismatch(s_l, s_r, 0, 1, bound if first is None else first[0])
+        if hit:
+            first = hit + (key[:2],)
     if first is not None:
-        e, cl, cr = first
+        e, cl, cr, (j, w) = first
         e = int(e)
+        where = "" if whole else f" in the part of E2 degree {j} and weight {w}"
         return ProofReport(
             **facts,
             verdict="REFUTED",
             coefficients_compared=e + 1,
-            detail=f"coefficient mismatch at q^{e}: {cl} vs {cr}",
+            detail=f"coefficient mismatch at q^{e}{where}: {cl} vs {cr}",
             mismatch=(Fraction(e), cl, cr),
         )
 
@@ -547,14 +539,9 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
             )
         citations.append(citation)
 
-    cert = Certificate(
-        weight=k,
-        level=level,
-        subst_exponent=m,
-        clearing=clearing,
-        citations=tuple(sorted(set(citations))),
-        terms=_term_facts(diff, level),
-    )
+    if not whole:
+        citations.append("compared by parts (E2 degree, weight): " + ", ".join(f"({j}, {w})" for j, w in parts))
+    cert = Certificate(k, level, m, clearing, tuple(sorted(set(citations))), _term_facts(diff, level))
     return ProofReport(**facts, verdict="PROVEN", coefficients_compared=bound, certificate=cert)
 
 

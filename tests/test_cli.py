@@ -320,7 +320,9 @@ class TestVerify:
     def test_non_homogeneous_weights_print_as_rationals(self, capsys):
         code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)")
         assert code == 1
-        assert out == "inline: UNCERTIFIED -- non-homogeneous weights [0, 1]\n"
+        # Terms of different weights are compared part by part; the terms'
+        # mod-4 residues still have to agree.
+        assert out == "inline: UNCERTIFIED -- mixed mod-4 residue classes [0, 1]\n"
 
     @pytest.mark.parametrize(
         "argv, line",

@@ -8,7 +8,6 @@ from piq.discover import (
     enumerate_monomials,
     gosper_bound,
     mine,
-    monomial_count,
 )
 from piq.errors import Unbounded
 from piq.etaq import PiMonomial
@@ -28,7 +27,7 @@ class TestEnumerate:
 
     def test_count_is_stars_and_bars(self):
         classes = enumerate_monomials((1, 2, 5, 10), 4)
-        assert sum(len(v) for v in classes.values()) == monomial_count((1, 2, 5, 10), 4) == 35
+        assert sum(len(v) for v in classes.values()) == 35  # binom(4 + 4 - 1, 4 - 1)
 
     def test_degree_one(self):
         classes = enumerate_monomials((1, 2, 7), 1)

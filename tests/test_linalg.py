@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from piq.errors import InsufficientPrecision
 from piq.etaq import EtaQuotient, PiMonomial, pi_to_eta
-from piq.linalg import RationalMatrix, kernel_basis, rank, series_window_matrix
+from piq.linalg import RationalMatrix, independent, kernel_basis, series_window_matrix
 from piq.series import INF, ScaledSeries as S
 
 
@@ -55,28 +55,31 @@ class TestKernelBasis:
 
 
 class TestRank:
+    """``independent`` gives the rows that raise the rank of the rows before them."""
+
     def test_no_rows(self):
-        assert rank([]) == 0
+        assert independent([]) == []
 
     def test_zero_rows(self):
-        assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert independent([[0, 0, 0], [0, 0, 0]]) == []
 
     def test_dependent_rows(self):
-        assert rank([[1, 2], [2, 4]]) == 1
-        assert rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+        assert independent([[1, 2], [2, 4]]) == [0]
+        assert independent([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == [0, 2]
 
     def test_full_rank(self):
-        assert rank([[1, 0], [0, 1]]) == 2
-        assert rank([[0, 1], [1, 0], [1, 1]]) == 2
+        assert independent([[1, 0], [0, 1]]) == [0, 1]
+        assert independent([[0, 1], [1, 0], [1, 1]]) == [0, 1]
 
     def test_rows_left_unchanged(self):
         rows = [[2, 4], [1, 3]]
-        assert rank(rows) == 2 and rows == [[2, 4], [1, 3]]
+        assert independent(rows) == [0, 1] and rows == [[2, 4], [1, 3]]
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_rank(self, rows):
-        assert rank(rows) == naive_rank(rows)
+        want = [i for i in range(len(rows)) if naive_rank(rows[: i + 1]) > naive_rank(rows[:i])]
+        assert independent(rows) == want
 
 
 class TestSolveLeastDegrees:

@@ -8,6 +8,7 @@ from piq.quasimod import (
     E2Combo,
     E4Combo,
     LambertSpec,
+    e2_split_rule,
     expand_lambert,
     is_modular_combo,
     reduce_atom,
@@ -155,6 +156,24 @@ class TestModularCombo:
         c = E2Combo.make({1: -1, 9: 9})
         assert is_modular_combo(c.scaled(3))
 
+
+class TestE2Split:
+    """E2(z) split off a combination that is not modular leaves a modular part."""
+
+    @pytest.mark.parametrize("terms", [{1: 1}, {1: 3}, {2: 1}, {2: F(1, 24), 1: F(-1, 24)}, {1: 2, 3: 5, 4: -1}])
+    def test_parts_sum_to_the_combination_and_the_rest_is_modular(self, terms):
+        combo = E2Combo.make(terms)
+        parts, cite = e2_split_rule(combo)
+        s = sum((a / d for d, a in combo.terms), F(0))
+        assert parts[0] == (s, E2Combo.make({1: 1}))
+        assert all(is_modular_combo(f) for _, f in parts[1:])
+        assert _parts_series(e2_split_rule, combo, 60).agrees_with(combo.expand(60))
+        assert cite == "E2(z) split off every E2 combination with sum a_d/d != 0"
+
+    def test_modular_combinations_and_other_factors_are_left(self):
+        assert e2_split_rule(E2Combo.make({1: -1, 9: 9})) is None
+        assert e2_split_rule(E4Combo.make({1: 1})) is None
+        assert e2_split_rule(LambertSpec("LAM", 1, 0)) is None
 
 class TestComboRules:
     """The former ``combo_rules`` cases, asked of the rule table."""

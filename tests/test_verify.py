@@ -16,7 +16,7 @@ from piq.errors import InsufficientPrecision
 from piq.etaq import PiMonomial, _expansion
 from piq.ident import SqrtAtom, Term, _key, _term_mul, build_sides, parse_identity, ts_make, ts_mul
 from piq.linalg import kernel_basis, series_window_matrix
-from piq.quasimod import E2Combo, E4Combo, LambertSpec
+from piq.quasimod import E2Combo, E4Combo, LambertSpec, split_rule
 from piq.series import ScaledSeries as S
 from piq.verify import (
     _first_mismatch,
@@ -283,13 +283,13 @@ class TestPairRuleInEngine:
 
     def test_collapses_at_ratio_6_with_partner_coefficient(self):
         cites = []
-        out = verify_module._split_atoms(self._terms(12, 2, 3), cites)
+        out = verify_module._rewrite(self._terms(12, 2, 3), split_rule, cites)
         assert out == (Term(F(2), PiMonomial.one(), (LambertSpec("DL3", 3),)),)
         assert cites == ["lam4-pair-to-cube-sum"]
 
     def test_wrong_ratio_splits_into_both_parts(self):
         cites = []
-        out = verify_module._split_atoms(self._terms(5, 1), cites)
+        out = verify_module._rewrite(self._terms(5, 1), split_rule, cites)
         assert out == (
             Term(F(5, 6), PiMonomial.one(), (LambertSpec("DL3", 1),)),
             Term(F(1, 6), PiMonomial.one(), (LambertSpec("LAM", 2, 1),)),
@@ -299,13 +299,13 @@ class TestPairRuleInEngine:
     def test_side_without_quartic_atom_is_the_same_tuple(self):
         cites = []
         terms = ts_make([Term(F(3), _pm({1: 2}), (LambertSpec("LAM", 2, 1),)), Term(F(1), _pm({2: 1}))])
-        assert verify_module._split_atoms(terms, cites) is terms
+        assert verify_module._rewrite(terms, split_rule, cites) is terms
         assert cites == []
 
     def test_product_of_quartic_atoms_multiplies_out(self):
         lam4, dl3, lam = LambertSpec("LAM4", 2, 1), LambertSpec("DL3", 1), LambertSpec("LAM", 2, 1)
         cites = []
-        out = verify_module._split_atoms((Term(F(36), PiMonomial.one(), (lam4, lam4)),), cites)
+        out = verify_module._rewrite((Term(F(36), PiMonomial.one(), (lam4, lam4)),), split_rule, cites)
         one = PiMonomial.one()
         assert out == ts_make([
             Term(F(1), one, (dl3, dl3)), Term(F(-2), one, (dl3, lam)), Term(F(1), one, (lam, lam))
@@ -363,26 +363,77 @@ class TestLambertProducts:
                    "lam(1,0)*sodd()", "pi(1)^2")
     SHAPES = ("({l})*{m} = ({r})*{m}", "{m}*({l}) + {m} = {m}*({r}) + {m}", "({l})*{m} - ({r})*{m} = 0")
 
+    def _grid(self, mutate=False):
+        for (l, r), m, shape in itertools.product(self.IDENTITIES, self.MULTIPLIERS, self.SHAPES):
+            r = r + " + 1/7*pi(2)^2" if mutate else r
+            yield parse_identity(shape.format(l=l, r=r, m=m), id="grid")
+
     def test_verdicts_and_checks(self):
         verdicts = collections.Counter()
-        for (l, r), m, shape in itertools.product(self.IDENTITIES, self.MULTIPLIERS, self.SHAPES):
-            rec = parse_identity(shape.format(l=l, r=r, m=m), id="grid")
+        for rec in self._grid():
             rep = prove(rec)
             verdicts[rep.verdict] += 1
             if rep.verdict == "PROVEN":
                 assert check(rec, 6 * rep.sturm_bound + 40).verdict == "CHECKED", rec.dsl
-        assert verdicts == {"PROVEN": 48, "UNCERTIFIED": 87}
+        assert verdicts == {"PROVEN": 135}
+
+    def test_mutants_are_refuted_below_the_bound(self):
+        for rec in self._grid(mutate=True):
+            rep = prove(rec)
+            assert rep.verdict == "REFUTED" and rep.sturm_bound is not None, (rec.dsl, rep.detail)
+            assert rep.mismatch[0] < rep.sturm_bound, rec.dsl
 
     def test_one_e2_combination_left_after_the_multiply_out_is_folded(self):
         # lam(1,0)*sodd() splits into 1/24*sodd() and an E2 product; the
-        # first folds with the other one-E2 terms, which fail sum a_d/d = 0.
+        # first folds with the other one-E2 terms.  The E2(z) parts split
+        # off the products cancel, so the difference is one form of weight 6.
         dsl = "(lam(1,0) - 4*lam(4,0))*sodd() = (1/8*(pi(1)^4/pi(2)^2 - 1))*sodd()"
         rep = prove(parse_identity(dsl))
-        assert rep.verdict == "UNCERTIFIED"
-        assert rep.detail == (
-            "E2 combination ((1, Fraction(-1, 24)),) fails sum a_d/d = 0; "
-            "first 60 coefficients agree (not a proof)"
-        )
+        assert (rep.verdict, rep.weight, rep.detail) == ("PROVEN", 6, "")
+        assert "E2(z) split off every E2 combination with sum a_d/d != 0" in rep.certificate.citations
+
+    def test_refuted_names_its_part(self):
+        # lam(1,0) = 1/24 - E2(z)/24: the parts (0, 2) and (1, 4) differ by
+        # 1/24 and -1/24 times pi(2)^2 - pi(1)*pi(3), first at q^2.
+        rep = prove(parse_identity("lam(1,0)*pi(2)^2 = lam(1,0)*pi(1)*pi(3)"))
+        assert (rep.verdict, rep.weight, rep.sturm_bound, rep.coefficients_compared) == ("REFUTED", 4, 9, 3)
+        assert rep.detail == "coefficient mismatch at q^2 in the part of E2 degree 0 and weight 2: 0 vs 1/12"
+        assert rep.mismatch == (2, 0, F(1, 12))
+        rep = prove(parse_identity("E2(1)*pi(2)^2 = E2(1)*pi(1)*pi(3)"))
+        assert rep.detail == "coefficient mismatch at q^2 in the part of E2 degree 1 and weight 4: 0 vs 2"
+        # One part of E2 degree 0 keeps the plain text.
+        rep = prove(parse_identity("pi(2)^2 = pi(1)*pi(3)"))
+        assert rep.detail == "coefficient mismatch at q^2: 0 vs 2"
+
+    def test_proven_cites_its_parts(self):
+        l, r = "pi(2)^2 + 2*pi(2)*pi(6)", "pi(1)*pi(3) + 3*pi(6)^2"
+        rep = prove(parse_identity(f"lam(1,0)*({l}) = lam(1,0)*({r})"))
+        assert (rep.verdict, rep.weight, rep.sturm_bound) == ("PROVEN", 4, 9)
+        assert "compared by parts (E2 degree, weight): (0, 2), (1, 4)" in rep.certificate.citations
+        rep = prove(parse_identity(f"E2(1)*({l}) = E2(1)*({r})"))
+        assert "compared by parts (E2 degree, weight): (1, 4)" in rep.certificate.citations
+        rep = prove(parse_identity(f"{l} = {r}"))
+        assert not any(c.startswith("compared by parts") for c in rep.certificate.citations)
+
+    FACTORS = ("lam(1,0)", "lam(2,0)", "lam(2,1)", "sodd()", "E2(1)", "E2(2)", "E4(1)", "dl3()",
+               "pi(4)", "pi(2)^2", "pi(1)*pi(3)")
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_random_multiplier_proven_only_when_true(self, data):
+        # A true base times a sum of products of atoms and Pi monomials, of
+        # mixed weights, is PROVEN only if it also checks far past the
+        # bound, and its mutant is never PROVEN.
+        l, r = data.draw(st.sampled_from(self.IDENTITIES))
+        products = data.draw(st.lists(st.lists(st.sampled_from(self.FACTORS), min_size=1, max_size=3),
+                                      min_size=1, max_size=2))
+        m = " + ".join("*".join(p) for p in products)
+        rec = parse_identity(f"({l})*({m}) = ({r})*({m})", id="prop")
+        rep = prove(rec)
+        if rep.verdict == "PROVEN":
+            assert check(rec, 6 * rep.sturm_bound + 40).verdict == "CHECKED", rec.dsl
+        mutant = parse_identity(f"({l})*({m}) = ({r} + 1/7*pi(2)^2)*({m})", id="prop-mut")
+        assert prove(mutant).verdict != "PROVEN", mutant.dsl
 
 
 class TestProvenSoundnessSpotChecks:
