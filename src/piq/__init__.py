@@ -5,63 +5,30 @@ justified by modular-form theory: Pi-monomials convert to eta quotients with
 known weight, level, and exact cusp orders, Lambert sums reduce to certified
 Eisenstein combinations, and Sturm's criterion turns holomorphy plus finitely
 many matching coefficients into a proof.
+
+``import piq`` loads the prover only (``ident`` and ``verify``, with
+``errors``, ``series``, ``etaq`` and ``quasimod`` beneath them).  The
+discovery layer, ``discover``, ``haupt`` and ``linalg``, loads on the first
+access to any one of the three, all three together.
 """
 
-from .errors import (
-    InsufficientPrecision,
-    LevelMismatch,
-    NoFitWithinBounds,
-    NonRootLeadingCoefficient,
-    NotAnEtaQuotient,
-    NotInvertible,
-    NotPolynomializable,
-    NotWeightZero,
-    ParseError,
-    PiqError,
-    PreconditionViolated,
-    SemanticError,
-    Unbounded,
-)
-from .series import ScaledSeries, eta_expansion, psi_expansion
-from .etaq import (
-    Cusp,
-    EtaQuotient,
-    ModularityFacts,
-    PiMonomial,
-    cusps,
-    cusps_equivalent,
-    index_gamma0,
-    modularity_facts,
-    order_at_cusp,
-    pi_order_at_cusp,
-    pi_to_eta,
-)
-from .quasimod import (
-    E2Combo,
-    E4Combo,
-    LambertSpec,
-    e2_split_rule,
-    expand_lambert,
-    is_modular_combo,
-    reduce_atom,
-    sigma,
-    split_rule,
-)
-from .ident import (
-    IdentityRecord,
-    evaluate_to_bound,
-    parse,
-    parse_corpus,
-    parse_expression,
-    parse_identity,
-    to_dsl,
-)
-from .linalg import RationalMatrix, kernel_basis
-from .verify import Certificate, ProofReport, ProveConfig, check, prove, root_match, sturm_bound
-from .discover import DiscoveredRelation, DiscoveryQuery, enumerate_monomials, gosper_bound, mine
-from .haupt import HauptFit, cusp_table, fit_rational, haupt_candidate_check
+import importlib
+
+from . import ident, verify
 
 __version__ = "0.1.0"
+
+_DISCOVERY = ("linalg", "discover", "haupt")
+
+
+def __getattr__(name: str):
+    if name in _DISCOVERY:
+        # import_module, not "from . import": that form looks the name up on
+        # this package first and so would call this hook again without end.
+        for module in _DISCOVERY:
+            importlib.import_module(f"{__name__}.{module}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def corpus_path() -> str:
@@ -71,7 +38,7 @@ def corpus_path() -> str:
     return str(resources.files("piq") / "corpus" / "gosper.piq")
 
 
-def load_corpus() -> list[IdentityRecord]:
+def load_corpus() -> list[ident.IdentityRecord]:
     """Parse and return the shipped identity corpus."""
     with open(corpus_path(), "r", encoding="utf-8") as fh:
-        return parse_corpus(fh.read())
+        return ident.parse_corpus(fh.read())

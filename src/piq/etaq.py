@@ -32,21 +32,6 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def index_gamma0(level: int) -> int:
     """Index of Gamma_0(N) in SL_2(Z): N * prod_{p | N} (1 + 1/p)."""
     if level < 1:
@@ -366,37 +351,6 @@ def cusps(level: int) -> list[Cusp]:
                 lifted = 0
             out.append(Cusp(lifted, s))
     return out
-
-
-def cusps_equivalent(level: int, c1: Cusp, c2: Cusp) -> bool:
-    """Standard Gamma_0(N) equivalence test on cusps a/c written in lowest terms."""
-
-    def complete(a, c):
-        # Extend (a, c) with gcd 1 to a matrix [[a, b], [c, d]] of determinant 1.
-        g, x, y = _xgcd(a, c)
-        assert g == 1
-        return x, y  # d, -b with a*d - b*c = 1 -> a*x + c*y = 1
-
-    d1, _ = complete(c1.r, c1.s)
-    d2, _ = complete(c2.r, c2.s)
-    # a1/c1 ~ a2/c2 iff c2*d1 == c1*d2 (mod gcd(c1*c2, N)) with d_i from the
-    # completed matrices; robust for all lowest-term representatives.
-    g = math.gcd(c1.s * c2.s, level)
-    return (c2.s * d1 - c1.s * d2) % g == 0
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def ligozat_value(e: EtaQuotient, c: Cusp) -> Fraction:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -165,8 +166,11 @@ def _mul_operand(c: Expr) -> str:
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One match per token: a run of whitespace (space, tab, CR, LF; each one
+# column, LF alone starts a line), then an ASCII number, a name, any other
+# character, or the end of the text.  Positions come from the whitespace runs
+# and the token lengths alone.
+_TOKEN_RE = re.compile(r"([ \t\r\n]*)(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(.)|\Z)", re.S)
 _SYMBOLS = set("-+*/^(),=")
 
 
@@ -174,38 +178,37 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch in " \t\r\n":
-                pos += 1
-                if ch == "\n":
-                    line, col = line + 1, 1
+        for m in _TOKEN_RE.finditer(text):
+            space, num, name, other = m.groups()
+            if space:
+                breaks = space.count("\n")
+                if breaks:
+                    line, col = line + breaks, len(space) - space.rfind("\n")
                 else:
-                    col += 1
-                continue
-            if m := _NUM_RE.match(text, pos):
-                kind, lexeme = "NUM", m.group()
-            elif m := _NAME_RE.match(text, pos):
-                kind, lexeme = "NAME", m.group()
-            elif ch in _SYMBOLS:
-                kind, lexeme = ch, ch
+                    col += len(space)
+            if num:
+                kind, lexeme = "NUM", num
+            elif name:
+                kind, lexeme = "NAME", name
+            elif other:
+                if other not in _SYMBOLS:
+                    raise ParseError(f"unexpected character {other!r}", line, col)
+                kind, lexeme = other, other
             else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+                break
             self.tokens.append((kind, lexeme, line, col))
-            step = len(lexeme)
-            col += step
-            pos += step
-        self.tokens.append(("EOF", "", line, col))
+            col += len(lexeme)
+        # Two EOF tokens: peek(1) at the last real token or at EOF, and one
+        # next() past EOF, stay in the list.
+        self.tokens += [("EOF", "", line, col)] * 2
         self.i = 0
 
     def peek(self, ahead: int = 0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self):
         tok = self.tokens[self.i]
-        if self.i < len(self.tokens) - 1:
-            self.i += 1
+        self.i += 1
         return tok
 
 
@@ -269,7 +272,7 @@ class _Parser:
         if self.toks.peek()[0] == "-":
             self.toks.next()
             sign = -1
-        num = int(self.expect("NUM"))
+        num = self.parse_digits()
         den = 1
         # A slash directly followed by digits is part of the rational literal
         # (this is what makes "^3/2" a 3/2 power); division between larger
@@ -277,7 +280,7 @@ class _Parser:
         if self.toks.peek()[0] == "/" and self.toks.peek(1)[0] == "NUM":
             self.toks.next()
             _, _, line, col = self.toks.peek()
-            den = int(self.expect("NUM"))
+            den = self.parse_digits()
             if den == 0:
                 raise SemanticError("zero denominator in rational literal", line, col)
         return Fraction(sign * num, den)
@@ -287,7 +290,18 @@ class _Parser:
         if self.toks.peek()[0] == "-":
             self.toks.next()
             sign = -1
-        return sign * int(self.expect("NUM"))
+        return sign * self.parse_digits()
+
+    def parse_digits(self) -> int:
+        _, lexeme, line, col = self.toks.peek()
+        self.expect("NUM")
+        try:
+            return int(lexeme)
+        except ValueError:  # longer than Python's int-conversion digit limit
+            raise SemanticError(
+                f"integer literal of {len(lexeme)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits", line, col,
+            ) from None
 
     def parse_int_at_least(self, low: int, what: str) -> int:
         _, _, line, col = self.toks.peek()

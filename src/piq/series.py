@@ -439,47 +439,6 @@ class ScaledSeries:
         return ScaledSeries(self._scale * ell, nums, x0 * e + window, lead.denominator * D ** (K - 1))
 
 
-def psi_expansion(terms: int) -> ScaledSeries:
-    """Ramanujan theta psi(q) = sum q^(n(n+1)/2), known modulo O(q^terms)."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    acc = {}
-    n = 0
-    while n * (n + 1) // 2 < terms:
-        acc[n * (n + 1) // 2] = 1
-        n += 1
-    return ScaledSeries.from_terms(acc, terms)
-
-
-def eta_expansion(delta: int, terms: int) -> ScaledSeries:
-    """Expansion of eta(delta*z): q^(delta/24) times the pentagonal-number series.
-
-    The product part prod(1 - q^(delta*n)) is generated sparsely from the
-    pentagonal-number theorem, never by multiplying the factors one by one.
-    The result is known modulo O(q^(delta/24 + delta*terms)).
-    """
-    delta = int(delta)
-    if delta < 1 or terms < 1:
-        raise ValueError("delta and terms must be >= 1")
-    pent = {0: 1}
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= terms and g2 >= terms:
-            break
-        sign = -1 if k % 2 else 1
-        if g1 < terms:
-            pent[g1] = sign
-        if g2 < terms:
-            pent[g2] = sign
-        k += 1
-    pref = Fraction(delta, 24)
-    return ScaledSeries.from_terms(
-        {pref + delta * g: c for g, c in pent.items()}, pref + delta * terms
-    )
-
-
 def to_bound(expand, min_bound) -> ScaledSeries:
     """expand(b), asked again with larger b until its bound reaches min_bound.
 

@@ -114,6 +114,14 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "pi(", "--terms", "3")
         assert code == 2 and "parse error" in err
 
+    def test_huge_integer_literal_exits_2(self, capsys):
+        # A literal past Python's int-conversion digit limit is a parse error
+        # at the literal, not a ValueError traceback.
+        code, out, err = run(capsys, "verify", "--dsl", "pi(1) = " + "1" * 5000)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: 1:9: integer literal of 5000 digits")
+        assert "Traceback" not in err
+
     def test_matches_golden_file(self, capsys):
         # Each "> dsl" block holds the stdout lines ("  "), the stderr lines
         # ("! ") and the exit code of `piq expand --terms 12 -- dsl`.

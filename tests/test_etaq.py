@@ -12,9 +12,7 @@ from piq.etaq import (
     EtaQuotient,
     PiMonomial,
     cusps,
-    cusps_equivalent,
     divisors,
-    euler_phi,
     index_gamma0,
     ligozat_value,
     modularity_facts,
@@ -23,7 +21,9 @@ from piq.etaq import (
     pi_to_eta,
     _expansion,
 )
-from piq.series import ScaledSeries, eta_expansion, psi_expansion
+from piq.series import ScaledSeries
+
+from oracles import cusps_equivalent, eta_expansion, euler_phi, psi_expansion
 
 
 class TestPiToEta:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from piq.errors import NoFitWithinBounds, NotAnEtaQuotient, NotWeightZero
-from piq.etaq import Cusp, cusps, cusps_equivalent
+from piq.etaq import Cusp, cusps
 from piq.haupt import (
     GENUS_ZERO_LEVELS,
     cusp_table,
@@ -11,6 +11,8 @@ from piq.haupt import (
     haupt_candidate_check,
 )
 from piq.ident import parse_expression as pe
+
+from oracles import cusps_equivalent
 
 
 def order_by_class(table, level, paper_cusp):

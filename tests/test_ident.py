@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -43,7 +44,9 @@ from piq.ident import (
     ts_pow_int,
 )
 from piq.quasimod import E2Combo, E4Combo, LambertSpec, expand_lambert
-from piq.series import ScaledSeries, psi_expansion
+from piq.series import ScaledSeries
+
+from oracles import psi_expansion
 
 
 class TestParse:
@@ -82,6 +85,48 @@ class TestParse:
             parse_identity(text)
         assert isinstance(info.value, SemanticError)
         assert (info.value.line, info.value.column, info.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("pi(1)\t= \tpi(0)", 1, 13, "pi index must be >= 1, got 0"),
+            ("\tpi(1) =\t\tpi(2", 1, 15, "expected ')' but found 'end of input'"),
+            ("pi(1) =\r\n  pi(1$)", 2, 7, "unexpected character '$'"),
+            ("pi(1)\r\n\r\n= lam(1,3)", 3, 3, "lam(1,3) requires 0 <= b < a"),
+            ("\n\n\npi(1) = \n\n  ?", 6, 3, "unexpected character '?'"),
+            ("pi(1) =\n\n", 3, 1, "expected an atom but found 'end of input'"),
+            ("\r\r pi(1) @", 1, 10, "unexpected character '@'"),
+            ("pi(1)\t\r\n\t= pi(1)^3/0", 2, 12, "zero denominator in rational literal"),
+            ("pi(1) = \x0b1", 1, 9, "unexpected character '\\x0b'"),
+            ("pi(1) = 1\xa0", 1, 10, "unexpected character '\\xa0'"),
+        ],
+        ids=["tabs", "tabs-eof", "crlf", "crlf-blank", "blank-lines", "trailing-blank",
+             "bare-cr", "tab-crlf-semantic", "vertical-tab", "no-break-space"],
+    )
+    def test_error_position_across_whitespace(self, text, line, column, message):
+        # Only space, tab, CR and LF are whitespace; each counts one column
+        # and LF alone starts a new line.
+        with pytest.raises(ParseError) as info:
+            parse_identity(text)
+        assert (info.value.line, info.value.column, info.value.message) == (line, column, message)
+
+    def test_only_ascii_digits_are_digits(self):
+        with pytest.raises(ParseError) as info:
+            parse_identity("pi(٣) = 1")
+        assert not isinstance(info.value, SemanticError)
+        assert (info.value.line, info.value.column) == (1, 4)
+        assert info.value.message == "unexpected character '٣'"
+
+    @pytest.mark.parametrize("text", ["pi(1) = {}", "pi(1) = 1/{}", "pi(1) = pi(1)^{}/2",
+                                      "pi(1) = lam({},1)"])
+    def test_huge_integer_literal_is_a_positioned_error(self, text):
+        digits = "1" * 5000
+        source = text.format(digits)
+        with pytest.raises(SemanticError) as info:
+            parse_identity(source)
+        assert (info.value.line, info.value.column) == (1, source.index(digits) + 1)
+        assert "5000 digits" in info.value.message
+        assert str(sys.get_int_max_str_digits()) in info.value.message
 
     def test_parse_error_position_and_expected(self):
         with pytest.raises(ParseError) as info:
@@ -210,6 +255,21 @@ class TestCorpusFile:
         assert (info.value.line, info.value.column) == (line, column)
         assert str(info.value) == f"{line}:{column}: in record 'X': {message}"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("piqdsl 1\n\nid: X\nsource: s\ndsl:\tpi(1)  = \tpi(1$)\n",
+             "5:20: in record 'X': unexpected character '$'"),
+            ("piqdsl 1\r\n\r\nid: X\r\nsource: s\r\ndsl: pi(1) = pi(0)\r\n",
+             "5:17: in record 'X': pi index must be >= 1, got 0"),
+        ],
+        ids=["tabs", "crlf"],
+    )
+    def test_dsl_error_column_across_whitespace(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_corpus(text)
+        assert str(info.value) == message
+
 
 class TestEvaluate:
     def test_pi_1(self):
@@ -233,7 +293,7 @@ class TestEvaluate:
 
     def test_lambert_node(self):
         s = evaluate_to_bound(parse_expression("lam(2,1)"), 6)
-        assert s.agrees_with(expand_lambert(piq.LambertSpec("LAM", 2, 1), 6))
+        assert s.agrees_with(expand_lambert(piq.quasimod.LambertSpec("LAM", 2, 1), 6))
 
 
 def _term_series(t, bound):

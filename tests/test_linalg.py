@@ -91,7 +91,7 @@ class TestSolveLeastDegrees:
 
     def test_duplicates(self):
         T = 10
-        from piq.series import psi_expansion
+        from oracles import psi_expansion
 
         p2 = psi_expansion(T) * psi_expansion(T)
         assert kernel_basis(series_window_matrix([p2, p2], 6)) == [(1, -1)]

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from piq.errors import InsufficientPrecision, NonRootLeadingCoefficient, NotInvertible, PiqError
 from piq.etaq import PiMonomial
-from piq.series import INF, ScaledSeries as S, eta_expansion, psi_expansion
+from piq.series import INF, ScaledSeries as S
+
+from oracles import eta_expansion, psi_expansion
 
 
 def brute_psi_squared(terms):

@@ -56,8 +56,8 @@ class TestRootMatch:
 
     def test_l12_3_sides(self):
         rec = next(r for r in piq.load_corpus() if r.id == "L12-3")
-        lhs = piq.evaluate_to_bound(rec.lhs, F(9, 4))
-        rhs = piq.evaluate_to_bound(rec.rhs, F(9, 4))
+        lhs = piq.ident.evaluate_to_bound(rec.lhs, F(9, 4))
+        rhs = piq.ident.evaluate_to_bound(rec.rhs, F(9, 4))
         assert root_match(lhs, rhs)
         assert lhs.leading_coefficient() > 0
 
