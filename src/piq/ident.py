@@ -21,8 +21,12 @@ Standard precedence, left associativity, whitespace insensitive.  After a
 half-integers and its coefficient has the rational root (one rule,
 ``_term_power``, for flattening and evaluation, so ``(pi(1)^2)^1/4`` is
 ``pi(1)^1/2``).  Any other half-integer power, and ``sqrt()`` of anything
-larger than a single Pi atom, a composite monomial included, keeps an opaque
-radical that the proof engine's single squaring round eliminates.  So
+larger than a single Pi atom, keeps formal square roots, which the proof
+engine's squaring rounds eliminate.  A term carries distinct radicals, with
+sqrt(R)*sqrt(R) = R their one product rule.  ``_root`` makes each one the
+positively leading root of a radicand that must not lead negatively; the
+root of a product, ``sqrt(X*Y*...)`` or a half-integer power, is one root
+per positively leading factor of several terms times one over the rest.  So
 ``(pi(1)/pi(9))^1/2*pi(9) = pi(1)^1/2*pi(9)^1/2`` cancels symbolically,
 while the same identity written with ``sqrt(pi(1)/pi(9))`` is proven
 through the squaring round.
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import NotPolynomializable, ParseError, SemanticError
+from .errors import NonRootLeadingCoefficient, NotPolynomializable, ParseError, SemanticError
 from .etaq import PiMonomial
 from .quasimod import LambertSpec, expand_lambert
 from .series import ScaledSeries, _frac, _rational_nth_root, to_bound
@@ -550,7 +554,7 @@ class SqrtAtom:
 
 @dataclass(frozen=True)
 class Term:
-    """coef * PiMonomial * (atoms) * (at most one sqrt radical).
+    """coef * PiMonomial * (atoms) * (distinct sqrt radicals, sorted).
 
     Flattening fills the atom slot with Lambert atoms (``LambertSpec``); the
     prover rewrites them into constants and certified ``E2Combo``/``E4Combo``
@@ -564,10 +568,8 @@ class Term:
 
     @property
     def weight(self) -> Fraction:
-        w = self.pi.weight + sum(a.weight for a in self.lamberts)
-        for atom in self.sqrts:
-            w += atom.inner[0].pi.weight / 2
-        return w
+        """Weight of a radical-free term."""
+        return self.pi.weight + sum(a.weight for a in self.lamberts)
 
     def describe(self) -> str:
         bits = [str(self.coef)]
@@ -634,63 +636,20 @@ def ts_scale(a: tuple, c: Fraction) -> tuple:
     return ts_make(Term(t.coef * c, t.pi, t.lamberts, t.sqrts) for t in a)
 
 
-def _monomial_sqrt(t: Term) -> Optional[Term]:
-    """sqrt of a radical-free, Lambert-free term with integral Pi exponents."""
-    if t.lamberts or t.sqrts:
-        return None
-    if any(h % 2 for _, h in t.pi.halves):
-        return None
-    root = _rational_nth_root(t.coef, 2)
-    if root is None:
-        return None
-    return Term(root, t.pi ** Fraction(1, 2))
-
-
 def _term_mul(t1: Term, t2: Term) -> list[Term]:
-    coef = t1.coef * t2.coef
-    pi = t1.pi * t2.pi
+    """Product of two terms; a radical on both is its radicand, sqrt(R)*sqrt(R) = R."""
     lamberts = tuple(sorted(t1.lamberts + t2.lamberts, key=_key))
-    atoms = sorted(t1.sqrts + t2.sqrts, key=_key)
-    factors: list[tuple] = []  # extra TermSum factors from collapsed radicals
-    pending: Optional[SqrtAtom] = None
-    for atom in atoms:
-        if pending is None:
-            pending = atom
-            continue
-        if pending == atom:
-            factors.append(pending.inner)
-            pending = None
-            continue
-        pending = SqrtAtom(ts_mul(pending.inner, atom.inner))
-        # A composite radical over a single square term collapses.
-        if len(pending.inner) == 1:
-            m = _monomial_sqrt(pending.inner[0])
-            if m is not None:
-                coef *= m.coef
-                pi = pi * m.pi
-                pending = None
-        elif not pending.inner:
-            return []  # sqrt of symbolic zero: the whole product vanishes
-    base = Term(coef, pi, lamberts, (pending,) if pending is not None else ())
-    out = [base]
-    for f in factors:
-        out = [t for b in out for t in _term_mul_ts(b, f)]
+    shared = [atom for atom in t1.sqrts if atom in t2.sqrts]
+    sqrts = tuple(sorted((a for a in t1.sqrts + t2.sqrts if a not in shared), key=_key))
+    out = [Term(t1.coef * t2.coef, t1.pi * t2.pi, lamberts, sqrts)]
+    for atom in shared:
+        out = [t for b in out for u in atom.inner for t in _term_mul(b, u)]
     return out
-
-
-def _term_mul_ts(t: Term, ts: tuple) -> list[Term]:
-    res = []
-    for u in ts:
-        res.extend(_term_mul(t, u))
-    return res
 
 
 def _is_unit(a: tuple) -> bool:
     """Whether the canonical term sum ``a`` is ``TS_ONE``, checked field by field."""
-    if len(a) != 1:
-        return False
-    t = a[0]
-    return not (t.pi.halves or t.lamberts or t.sqrts) and t.coef == 1
+    return len(a) == 1 and not (a[0].pi.halves or a[0].lamberts or a[0].sqrts) and a[0].coef == 1
 
 
 def _split_plain(a: tuple):
@@ -746,8 +705,7 @@ def ts_mul(a: tuple, b: tuple) -> tuple:
 def ts_pow_int(a: tuple, e: int) -> tuple:
     if e < 0:
         raise ValueError("negative power on a term sum")
-    result = TS_ONE
-    base = a
+    result, base = TS_ONE, a
     while e:
         if e & 1:
             result = ts_mul(result, base)
@@ -789,8 +747,8 @@ class _Frac:
         return _Frac(ts_mul(self.num, other.num), ts_mul(self.den, other.den))
 
 
-def _frac_one():
-    return _Frac(TS_ONE, TS_ONE)
+def _product(fracs) -> _Frac:
+    return functools.reduce(_Frac.__mul__, fracs, _Frac(TS_ONE, TS_ONE))
 
 
 def _single_pi_term(f: _Frac) -> Optional[tuple[Fraction, PiMonomial]]:
@@ -818,35 +776,81 @@ def _build(expr: Expr) -> _Frac:
             out = out + _build(c)
         return out
     if isinstance(expr, Mul):
-        out = _frac_one()
-        for c in expr.children:
-            out = out * _build(c)
-        return out
+        return _product(_build(c) for c in expr.children)
     if isinstance(expr, Subst):
         f = _build(expr.child)
         return _Frac(ts_subst(f.num, expr.j), ts_subst(f.den, expr.j))
-    if isinstance(expr, Sqrt):
-        f = _build(expr.child)
-        return _pow_frac(f, Fraction(1, 2)) if isinstance(expr.child, (Pi, Const)) else _sqrt_frac(f)
     if isinstance(expr, Pow):
-        return _pow_frac(_build(expr.child), expr.e)
+        return _pow_frac([_build(c) for c in _factors(expr.child)], expr.e)
+    if isinstance(expr, Sqrt):
+        factors = [_build(c) for c in _factors(expr.child)]
+        return _pow_frac(factors, Fraction(1, 2)) if isinstance(expr.child, (Pi, Const)) else _sqrt_frac(factors)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _sqrt_frac(f: _Frac) -> _Frac:
-    """Radical over a flattened fraction: sqrt(n/d) = sqrt(n*d)/d."""
+def _factors(expr: Expr) -> list:
+    """The factors of a product, nested products flattened; else [expr]."""
+    if isinstance(expr, Mul):
+        return [f for c in expr.children for f in _factors(c)]
+    return [expr]
+
+
+def _sqrt_frac(factors: list) -> _Frac:
+    """Radicals over a product of flattened fractions: one per factor of more
+    than one term that leads positively, and one over the other factors."""
+    alone = [
+        (len(f.num) > 1 or len(f.den) > 1) and _leading_coefficient(f.num) * _leading_coefficient(f.den) > 0
+        for f in factors
+    ]
+    rest = _product(f for f, a in zip(factors, alone) if not a)
+    return _product([_root(f) for f, a in zip(factors, alone) if a] + [_root(rest)])
+
+
+def _root(f: _Frac) -> _Frac:
+    """sqrt(n/d) = sqrt(n*d)/|d|, n*d not leading negatively; a single-term
+    radicand c^2*M^2*r is c*M*sqrt(r), M the largest Pi monomial of integer
+    exponents whose square divides it, c the rational root of its coefficient
+    when there is one."""
     inner = ts_mul(f.num, f.den)
-    for t in inner:
-        if t.sqrts:
-            raise NotPolynomializable("nested radicals exceed one squaring round")
+    if any(t.sqrts for t in inner):
+        raise NotPolynomializable("nested radicals exceed one squaring round")
     if not inner:
         return _Frac(TS_ZERO, TS_ONE)
-    atom = SqrtAtom(inner)
-    return _Frac((Term(Fraction(1), PiMonomial.one(), (), (atom,)),), f.den)
+    lead = _leading_coefficient(inner)
+    if lead < 0:
+        raise NonRootLeadingCoefficient(f"radicand leads with negative coefficient {lead}")
+    den = ts_neg(f.den) if _leading_coefficient(f.den) < 0 else f.den
+    coef, outer = Fraction(1), PiMonomial.one()
+    if len(inner) == 1:
+        t = inner[0]
+        coef = _rational_nth_root(t.coef, 2) or coef
+        outer = PiMonomial.make({n: h // 4 for n, h in t.pi.halves})
+        rest = (Term(t.coef / coef**2, t.pi * outer**-2, t.lamberts),)
+        inner = () if _is_unit(rest) else rest
+    return _Frac((Term(coef, outer, (), (SqrtAtom(inner),) if inner else ()),), den)
 
 
-def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
-    e = _frac(e)
+def _leading_coefficient(ts: tuple) -> Fraction:
+    """Leading q-coefficient of a radical-free term sum, 0 for a radical or when
+    none shows within 512 past the least valuation; a Pi monomial leads with 1."""
+    start, window = min((t.pi.valuation for t in ts), default=Fraction(0)), 8
+    lead = sum(t.coef for t in ts if t.pi.valuation == start)
+    if lead and not any(t.lamberts or t.sqrts for t in ts):
+        return lead
+    while window <= 512 and ts and not any(t.sqrts for t in ts):
+        b, n = start + window, max(8, math.ceil(start + window))
+        s = ScaledSeries.linear_sum(
+            (t.coef, functools.reduce(lambda x, a: x * expand_lambert(a, n), t.lamberts, t.pi.expand_to(b))) for t in ts
+        )
+        if not s.is_zero():
+            return s.leading_coefficient()
+        window *= 2
+    return Fraction(0)
+
+
+def _pow_frac(factors: list, e: Fraction) -> _Frac:
+    """The product of the factors to the power e."""
+    f, e = _product(factors), _frac(e)
     if e.denominator == 1:
         n = int(e)
         if n <= 0 and not f.num:
@@ -863,7 +867,7 @@ def _pow_frac(f: _Frac, e: Fraction) -> _Frac:
         return _Frac((Term(*moved),), TS_ONE)
     if e.denominator == 2:
         ipart = (e.numerator - 1) // 2  # e = ipart + 1/2 with odd numerator
-        return _sqrt_frac(f) if ipart == 0 else _pow_frac(f, Fraction(ipart)) * _sqrt_frac(f)
+        return _sqrt_frac(factors) if ipart == 0 else _pow_frac([f], Fraction(ipart)) * _sqrt_frac(factors)
     raise NotPolynomializable(f"unsupported fractional exponent {e}")
 
 

@@ -18,13 +18,15 @@ The pipeline for :func:`prove`:
     combination that is not modular as s*E2(z) + (a modular combination).
     A reduced term's atom slot holds modular ``E2Combo``/``E4Combo`` factors
     and j factors E2(z); j is its E2 degree.
-3.  If radicals remain, one squaring round: terms are grouped by radical
-    signature (at most two groups after an optional radical multiplication
-    that merges reciprocal radicals), each group sum A*sqrt(R) is squared as
-    A^2 * R, and a final leading-coefficient comparison of the unsquared
-    sides is recorded as an extra obligation.  A first unsquared side that
-    vanishes on its first window is instead put through steps 4-6 without
-    its radicals, as the identity "radical-free part = 0".
+3.  Radicals: flattening rejects a radicand that leads negatively, and an
+    unseen leading coefficient is uncertified, so a radical common to all
+    terms is nonzero and is divided out.  Else squaring rounds F = G ->
+    F^2 = G^2, each with a leading-coefficient comparison of F and G as an
+    extra obligation: with over two radical signatures (sorted distinct
+    radicals), a first round isolates a radical X that leaves at most two,
+    P = Q*sqrt(X); then each signature group A*sqrt(R) is squared as A^2*R.
+    A first unsquared side that vanishes on its first window goes through
+    steps 3-6 instead, as the identity "that side = 0".
 4.  Every term must have a Pi part of integral weight and the common
     residue of sum(k_i n_i) mod 4, which fixes the substitution exponent m
     in {1, 2, 4}, applied to Pi indices and combination scales.
@@ -80,6 +82,7 @@ from .ident import (
     ts_neg,
     ts_subst,
     _key,
+    _leading_coefficient,
 )
 from .quasimod import E2Combo, LambertSpec, e2_split_rule, reduce_atom, split_rule
 from .series import INF, ScaledSeries, _frac, to_bound
@@ -337,8 +340,6 @@ def _common_residue(terms) -> int:
     residues = set()
     for t in terms:
         s = t.pi.exponent_weighted_sum
-        for atom in t.sqrts:
-            s += atom.inner[0].pi.exponent_weighted_sum / 2
         if s.denominator != 1:
             raise _Uncertifiable(f"non-integral exponent sum {s}")
         residues.add(int(s) % 4)
@@ -390,6 +391,9 @@ def prove(rec: IdentityRecord, config: ProveConfig | None = None) -> ProofReport
 
 def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     lhs_t, rhs_t = build_sides(rec)
+    # Flattening rejects negative radicands; a radical is divided out only if nonzero.
+    if not all(_leading_coefficient(a.inner) for a in {a for t in lhs_t + rhs_t for a in t.sqrts}):
+        raise _Uncertifiable("cannot locate leading coefficient of a radicand")
     if not ts_add(lhs_t, ts_neg(rhs_t)):
         return ProofReport(
             id=rec.id,
@@ -407,11 +411,6 @@ def _prove(rec: IdentityRecord, cfg: ProveConfig) -> ProofReport:
     return _prove_reduced(rec.id, lhs, rhs, sorted(set(cit_l) | set(cit_r)), cfg)
 
 
-def _atomless(terms) -> tuple:
-    """The term sum with every radical factor divided out."""
-    return ts_make(Term(t.coef, t.pi, t.lamberts) for t in terms)
-
-
 def _square_group(g: tuple) -> tuple:
     """``ts_mul(g, g)`` for terms that share one radical signature: (A*sqrt(R))^2 = A^2 * R."""
     if not g:
@@ -426,33 +425,32 @@ def _square_group(g: tuple) -> tuple:
 
 def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> ProofReport:
     """Steps 3 to 6 for Lambert-reduced sides: radicals, modularity, comparison."""
-    squared = False
-    root_pair = None
-    sigs = sorted({_signature(t) for t in list(lhs) + list(rhs)})
+    root_pairs = []  # (F, G) of each squaring round F = G -> F^2 = G^2
+    sigs = sorted({_signature(t) for t in lhs + rhs})
+    for x in sorted({a for t in lhs + rhs for a in t.sqrts}, key=_key) if len(sigs) > 2 else ():
+        # A first round isolates a radical X after which at most two radical
+        # signatures are left: P = Q*sqrt(X), P and Q free of X, as P^2 = Q^2*X.
+        parts = [[set(s) - {x.key()} for s in sigs if (x.key() in s) == side] for side in (False, True)]
+        if len({frozenset(a ^ b) for part in parts for a in part for b in part}) <= 2:
+            diff = ts_add(lhs, ts_neg(rhs))
+            p = tuple(t for t in diff if x not in t.sqrts)
+            root_pairs.append((p, ts_add(p, ts_neg(diff))))
+            lhs, rhs = (ts_mul(g, g) for g in root_pairs[0])
+            citations.append("squaring round isolating one radical")
+            sigs = sorted({_signature(t) for t in lhs + rhs})
+            break
     if any(s for s in sigs):
-        attempts = 0
-        while len(sigs) > 2 and attempts < 3:
-            target = next(s for s in sigs if s)
-            carrier = next(t for t in list(lhs) + list(rhs) if _signature(t) == target)
-            mult = (Term(Fraction(1), PiMonomial.one(), (), carrier.sqrts),)
-            lhs, rhs = ts_mul(lhs, mult), ts_mul(rhs, mult)
-            citations.append("radical-merge multiplication")
-            sigs = sorted({_signature(t) for t in list(lhs) + list(rhs)})
-            attempts += 1
         if len(sigs) > 2:
             raise _Uncertifiable("radical signatures exceed one squaring round")
         if len(sigs) == 1:
             # Every term carries the same radical: divide it out.
-            lhs, rhs = _atomless(lhs), _atomless(rhs)
+            lhs, rhs = (ts_make(Term(t.coef, t.pi, t.lamberts) for t in side) for side in (lhs, rhs))
             citations.append("common radical factor cancelled")
         else:
-            sig_a, sig_b = sigs
             diff = ts_add(lhs, ts_neg(rhs))
-            g1 = tuple(t for t in diff if _signature(t) == sig_a)
-            g2 = tuple(t for t in diff if _signature(t) == sig_b)
-            root_pair = (g1, ts_neg(g2))
+            g1, g2 = (tuple(t for t in diff if _signature(t) == sig) for sig in sigs)
+            root_pairs.append((g1, ts_neg(g2)))
             lhs, rhs = _square_group(g1), _square_group(g2)
-            squared = True
             citations.append("one squaring round (radical elimination)")
 
     net_clear = net_clearing_monomial(lhs + rhs)
@@ -466,6 +464,8 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
     # cancels and imposes no constraint.
     diff = ts_add(lhs, ts_neg(rhs))
     for t in diff:
+        if t.sqrts:
+            raise _Uncertifiable("radical survived the squaring round")
         if t.pi.weight.denominator != 1:
             raise _Uncertifiable(f"half-integral Pi weight in term {t.describe()}")
     residue = _common_residue(diff)
@@ -481,8 +481,6 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
         for c, o in zip(cusp_list, _cusp_row(t.pi.halves, level)):
             if o < 0:
                 raise _Uncertifiable(f"term {t.describe()} has order {o} at cusp {c.label(level)}")
-        if t.sqrts:
-            raise _Uncertifiable("radical survived the squaring round")
 
     # One group per (E2 degree j, weight, character): the terms with j
     # factors E2(z), which the substitution made E2(mz), divided out.
@@ -526,7 +524,7 @@ def _prove_reduced(rid: str, lhs, rhs, citations: list, cfg: ProveConfig) -> Pro
             mismatch=(Fraction(e), cl, cr),
         )
 
-    if squared:
+    for root_pair in reversed(root_pairs):
         citation, info = _check_root_branch(root_pair, cfg)
         if citation is None:
             e, cl, cr = info
@@ -549,48 +547,45 @@ def _check_root_branch(root_pair, cfg: ProveConfig):
     """Leading-term comparison of the unsquared sides (the j = 0 branch).
 
     Returns (citation, None) when the sides agree and (None, (e, cl, cr))
-    when their leading terms differ.  The first side is its radicals times a
-    radical-free sum; when it is zero on its first window and the prover
-    certifies that sum zero, the side is zero, and so is the other side,
+    when their leading terms differ.  When the first side is zero on its
+    first window and the prover certifies it zero, so is the other side,
     whose square equals its square.
     """
     f_terms, g_terms = root_pair
-
-    def leading(terms, try_zero=False):
-        vals = []
-        for t in terms:
-            v = t.pi.valuation
-            for atom in t.sqrts:
-                v += min(u.pi.valuation for u in atom.inner) / 2
-            vals.append(v)
-        start = min(vals) if vals else Fraction(0)
-        window = ROOT_WINDOW
-        while window <= 512:
-            s = rts_series(terms, start + window)
-            if not s.is_zero():
-                return s
-            if try_zero and window == ROOT_WINDOW and _proven_zero(terms, cfg):
-                return None
-            window *= 2
-        raise _Uncertifiable("cannot locate leading coefficient of unsquared side")
-
-    f = leading(f_terms, try_zero=True)
+    f = _leading(f_terms, cfg, "unsquared side", try_zero=True)
     if f is None:
         return "vanishing unsquared sides (radical-free part proven zero)", None
-    g = leading(g_terms)
+    g = _leading(g_terms, cfg, "unsquared side")
     if root_match(f, g):
         return "leading-coefficient branch comparison", None
-    fe, ge = f.valuation(), g.valuation()
-    e = fe if (ge is None or (fe is not None and fe <= ge)) else ge
-    cl = f.coefficient(e) if e is not None else Fraction(0)
-    cr = g.coefficient(e) if e is not None else Fraction(0)
-    return None, (e, cl, cr)
+    e = min(f.valuation(), g.valuation())  # both sides are nonzero
+    return None, (e, f.coefficient(e), g.coefficient(e))
+
+
+def _leading(terms, cfg: ProveConfig, what: str, try_zero=False) -> Optional[ScaledSeries]:
+    """The term sum's expansion far enough to show a nonzero coefficient.
+
+    The window past the least term valuation doubles from ROOT_WINDOW up to
+    512.  With ``try_zero``, a sum that is zero on its first window and that
+    the prover certifies zero gives None.
+    """
+    start = min((t.pi.valuation + sum(min(u.pi.valuation for u in a.inner) / 2 for a in t.sqrts)
+                 for t in terms), default=Fraction(0))
+    window = ROOT_WINDOW
+    while window <= 512:
+        s = rts_series(terms, start + window)
+        if not s.is_zero():
+            return s
+        if try_zero and window == ROOT_WINDOW and _proven_zero(terms, cfg):
+            return None
+        window *= 2
+    raise _Uncertifiable(f"cannot locate leading coefficient of {what}")
 
 
 def _proven_zero(terms, cfg: ProveConfig) -> bool:
-    """True when the prover certifies the terms' radical-free part as zero."""
+    """True when the prover certifies the term sum zero."""
     try:
-        return _prove_reduced("", _atomless(terms), (), [], cfg).verdict == "PROVEN"
+        return _prove_reduced("", terms, (), [], cfg).verdict == "PROVEN"
     except _Uncertifiable:
         return False
 

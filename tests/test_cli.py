@@ -326,11 +326,33 @@ class TestVerify:
         assert "".join(got) == golden
 
     def test_non_homogeneous_weights_print_as_rationals(self, capsys):
-        code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)")
+        code, out, _ = run(capsys, "verify", "--dsl", "sqrt(2*pi(1)) = pi(1)")
         assert code == 1
         # Terms of different weights are compared part by part; the terms'
         # mod-4 residues still have to agree.
         assert out == "inline: UNCERTIFIED -- mixed mod-4 residue classes [0, 1]\n"
+
+    def test_negative_radicand_is_an_error_in_both_modes(self, capsys):
+        for mode in ("proof", "check"):
+            code, out, _ = run(capsys, "verify", "--dsl", "sqrt(-pi(1)) = pi(1)", "--mode", mode)
+            assert code == 1
+            assert out.startswith("inline: ERROR -- NonRootLeadingCoefficient: "), mode
+
+    R1, R2 = "pi(1)^2+pi(2)^2", "pi(1)*pi(3)+pi(2)^2"
+    A = "(sqrt(pi(1)^2 + pi(2)^2) + sqrt(pi(1)*pi(2)))"
+
+    @pytest.mark.parametrize(
+        "dsl",
+        [
+            # A product of radical sums is the same in every grouping.
+            f"{A}^4 = {A}*{A}*{A}*{A}",
+            f"(sqrt({R1})+sqrt({R2}))^2 = {R1}+{R2}+2*sqrt(({R1})*({R2}))",
+        ],
+        ids=["fourth_power", "binomial_square"],
+    )
+    def test_radical_products_proven(self, capsys, dsl):
+        code, out, _ = run(capsys, "verify", "--dsl", dsl)
+        assert (code, out.split(" (")[0]) == (0, "inline: PROVEN")
 
     @pytest.mark.parametrize(
         "argv, line",

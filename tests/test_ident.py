@@ -35,6 +35,7 @@ from piq.ident import (
     TS_ONE,
     TS_ZERO,
     Term,
+    _key,
     _term_mul,
     to_dsl,
     ts_add,
@@ -348,6 +349,41 @@ class TestNormalize:
     def test_sqrt_flag_carried(self):
         rec = parse_identity("sqrt(pi(1)*pi(3)) = pi(2)")
         assert any(bool(t.sqrts) for t in _cleared_difference(rec))
+
+    def test_radicals_normalised_when_made(self):
+        """A single-term radicand gives its square part up; the root of a
+        product is one root per factor that is not a single term and one
+        over the single-term factors."""
+        r1, r2 = "pi(1)^2 + pi(2)^2", "pi(1)*pi(3) + pi(2)^2"
+        same = [
+            ("sqrt(pi(1)*pi(3)*pi(2)^2)", "pi(2)*sqrt(pi(1)*pi(3))"),
+            ("sqrt(4*pi(1)^3*pi(2)^-3)", "2*pi(1)/pi(2)^2*sqrt(pi(1)*pi(2))"),
+            ("sqrt(pi(1)^2*pi(2)^2)", "pi(1)*pi(2)"),
+            (f"sqrt(({r1})*({r2}))", f"sqrt({r1})*sqrt({r2})"),
+            (f"sqrt(pi(2)*({r1})*pi(6))", f"sqrt(pi(2)*pi(6))*sqrt({r1})"),
+            (f"sqrt(({r1})*({r1}))", r1),
+            (f"(({r1})*({r2}))^1/2", f"sqrt({r1})*sqrt({r2})"),
+            (f"(({r1})*pi(2)*pi(6))^-3/2", f"sqrt(pi(2)*pi(6))*sqrt({r1})/(({r1})*pi(2)*pi(6))^2"),
+        ]
+        for left, right in same:
+            lhs, rhs = build_sides(parse_identity(f"{left} = {right}"))
+            assert lhs == rhs, left
+        (term,) = build_sides(parse_identity("sqrt(pi(2)*pi(6)) = 0"))[0]
+        assert [atom.inner for atom in term.sqrts] == [(Term(F(1), PiMonomial.make({2: 1, 6: 1})),)]
+
+    def test_factors_leading_negatively_share_one_radical(self):
+        """sqrt(X*Y) is sqrt(X)*sqrt(Y) only for factors that lead
+        positively; the other factors stay under one radical, which must not
+        lead negatively either."""
+        r1, r2 = "pi(1)^2 + pi(2)^2", "pi(1)*pi(3) + pi(2)^2"
+        (term,) = build_sides(parse_identity(f"sqrt((-({r1}))*(-({r2}))) = 0"))[0]
+        product = ts_mul(*(build_sides(parse_identity(f"{r} = 0"))[0] for r in (r1, r2)))
+        assert [atom.inner for atom in term.sqrts] == [product]
+        (term,) = build_sides(parse_identity(f"sqrt((-({r1}))*(-({r2}))*({r1})) = 0"))[0]
+        assert len(term.sqrts) == 2
+        for text in (f"sqrt(-({r1}))", f"sqrt((-({r1}))*({r2}))", f"sqrt(-({r1}))^2", "sqrt(-pi(1)*pi(2))"):
+            with pytest.raises(NonRootLeadingCoefficient, match="^radicand leads with negative coefficient -"):
+                build_sides(parse_identity(f"{text} = 0"))
 
     def test_nested_radical_rejected(self):
         with pytest.raises(NotPolynomializable):
@@ -749,21 +785,39 @@ class TestTermSumCanonicalForm:
             assert plain == tuple((m, F(k)) for m, k in want)
             self._assert_fraction_coefs(got)
 
+    def test_radical_products_associate_and_commute(self):
+        """Sums over three distinct radicals multiply to one normal form in any order."""
+        rng = random.Random(20261019)
+        p1, p2, p3, p6 = (PiMonomial.make({n: 1}) for n in (1, 2, 3, 6))
+        radicals = [
+            SqrtAtom(ts_make([Term(F(1), p1 * p1), Term(F(1), p2 * p2)])),
+            SqrtAtom(ts_make([Term(F(1), p1 * p3), Term(F(1), p2 * p2)])),
+            SqrtAtom((Term(F(1), p2 * p6),)),
+        ]
+
+        def draw():
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                sqrts = tuple(sorted(rng.sample(radicals, rng.randint(0, 3)), key=_key))
+                coef = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                terms.append(Term(coef, rng.choice((p1, p2, p3, p6)), (), sqrts))
+            return ts_make(terms)
+
+        for _ in range(60):
+            a, b, c = draw(), draw(), draw()
+            assert ts_mul(ts_mul(a, b), c) == ts_mul(a, ts_mul(b, c)) == ts_mul(ts_mul(c, a), b)
+            assert ts_mul(a, b) == ts_mul(b, a)
+
     @pytest.mark.parametrize("indices", _LIFT_INDEX_SETS)
     @pytest.mark.parametrize("reduced", [False, True])
     def test_ts_pow_int_matches_reference_products(self, indices, reduced):
-        """Powers up to 6 against reference products, in ts_pow_int's grouping.
-
-        A product of two different radicals stays one unsimplified radical,
-        so with two radicals the power depends on how its factors are
-        grouped; with at most one radical, repeated products must agree too.
-        """
+        """Powers up to 6 against reference products, in ts_pow_int's grouping
+        and as repeated products: radical products do not depend on grouping."""
         rng = random.Random(f"pow{indices}{reduced}")
         atoms = _atom_choices(indices, reduced)
-        one_radical = [slot for slot in atoms if slot[1] != atoms[4][1]]
         for _ in range(6):
             a = ts_make(_random_term_sum(rng, indices, atoms)[:4])
-            b = ts_make(_random_term_sum(rng, indices, one_radical)[:4])
+            b = ts_make(_random_term_sum(rng, indices, atoms)[:4])
             repeated = TS_ONE
             for e in range(7):
                 result, base, k = TS_ONE, a, e

@@ -14,7 +14,7 @@ import piq.verify as verify_module
 from piq.discover import _compositions, _relation_dsl
 from piq.errors import InsufficientPrecision
 from piq.etaq import PiMonomial, _expansion
-from piq.ident import SqrtAtom, Term, _key, _term_mul, build_sides, parse_identity, ts_make, ts_mul
+from piq.ident import SqrtAtom, Term, _key, build_sides, parse_identity, ts_make, ts_mul
 from piq.linalg import kernel_basis, series_window_matrix
 from piq.quasimod import E2Combo, E4Combo, LambertSpec, split_rule
 from piq.series import ScaledSeries as S
@@ -840,14 +840,153 @@ class TestRadicalBranches:
         assert rep.detail == "coefficient mismatch at q^3: 4 vs 3"
 
     def test_radical_merge(self):
+        # sqrt(pi(1)*pi(3)*pi(2)^2) is pi(2)*sqrt(pi(1)*pi(3)) when made, so
+        # the extra terms cancel and L12-3's own route remains.
         rep = prove(
             parse_identity(
                 "sqrt(pi(2)*pi(6))*(pi(1)^2 - 3*pi(3)^2) + sqrt(pi(1)*pi(3)*pi(2)^2)"
                 " = sqrt(pi(1)*pi(3))*(pi(2)^2 + 3*pi(6)^2) + pi(2)*sqrt(pi(1)*pi(3))"
             )
         )
-        assert rep.tsv_line() == "inline\tPROVEN\t3\t24\t2\t13\t13"
-        assert "radical-merge multiplication" in rep.certificate.citations
+        assert rep.tsv_line() == "inline\tPROVEN\t6\t12\t1\t13\t13"
+        assert not any("merge" in c for c in rep.certificate.citations)
+
+    # L12-1's difference: zero as a q-series, though not symbolically.
+    ZERO = "(pi(2)^2 + 2*pi(2)*pi(6) - pi(1)*pi(3) - 3*pi(6)^2)"
+
+    @pytest.mark.parametrize(
+        "dsl",
+        [f"sqrt({ZERO}) = 0", f"sqrt({ZERO})*(pi(1)+pi(2)) = sqrt({ZERO})*pi(2)"],
+        ids=["alone", "common_factor"],
+    )
+    def test_zero_radicand_is_not_cancelled(self, dsl):
+        rep = prove(parse_identity(dsl))
+        assert rep.verdict == "UNCERTIFIED"
+        assert rep.detail.startswith("cannot locate leading coefficient of a radicand")
+
+    @pytest.mark.parametrize(
+        "dsl",
+        [
+            "sqrt(-pi(1)-pi(2)) = 0*pi(1)",
+            "sqrt(-pi(1)-pi(2)) = sqrt(-pi(1)-pi(2))",
+            "sqrt(-lam(1,0)) = sqrt(-lam(1,0))",
+            "sqrt(-pi(1)-pi(2))^2 = -pi(1)-pi(2)",
+        ],
+        ids=["zero_side", "cancelling_sides", "lambert", "squared_away"],
+    )
+    def test_negative_radicand_is_an_error(self, dsl):
+        rep = prove(parse_identity(dsl))
+        assert (rep.verdict, rep.detail) == (
+            "ERROR", "NonRootLeadingCoefficient: radicand leads with negative coefficient -1"
+        )
+        assert check(parse_identity(dsl), 10).detail.startswith("NonRootLeadingCoefficient: ")
+
+
+    X, Y = "(-pi(1)-pi(2))", "(-pi(1)-pi(3))"
+
+    @pytest.mark.parametrize(
+        "dsl, verdict",
+        [
+            # sqrt(X*X) with X leading negatively is -X, never X.
+            (f"sqrt({X}*{X}) = {X}", "REFUTED"),
+            (f"sqrt({X}*{X}) = -{X}", "PROVEN"),
+            (f"({X}*{X})^1/2 = {X}", "REFUTED"),
+            (f"({X}*{X})^1/2 = -{X}", "PROVEN"),
+            (f"sqrt({X}*{Y}) = sqrt((-{X})*(-{Y}))", "PROVEN"),
+            (f"sqrt({X}/{Y}) = sqrt((-{X})/(-{Y}))", "PROVEN"),
+            (f"sqrt({X}/{Y}) = -sqrt((-{X})/(-{Y}))", "REFUTED"),
+        ],
+    )
+    def test_factors_leading_negatively_share_one_radical(self, dsl, verdict):
+        assert prove(parse_identity(dsl)).verdict == verdict
+
+    # L18-1 and its mutant times a binomial over a second radical: four
+    # radical signatures.
+    L18_1 = "(pi(3)^2 + 3*pi(1)*pi(9))*(3*sqrt(pi(1)*pi(3)) + 7) = (sqrt(pi(1)*pi(9))*(pi(1) + 3*pi(9)))*({})"
+
+    @pytest.mark.parametrize(
+        "dsl, line",
+        [
+            (L18_1.format("3*sqrt(pi(1)*pi(3)) + 7"), "inline\tPROVEN\t12\t18\t1\t37\t37"),
+            (L18_1.format("3*sqrt(pi(1)*pi(3)) + 8"), "inline\tREFUTED\t12\t18\t1\t37\t7"),
+            (L18_1.format("-3*sqrt(pi(1)*pi(3)) - 7"), "inline\tREFUTED\t12\t18\t1\t37\t37"),
+            # L12-3 times a binomial over a third radical.
+            (
+                "(sqrt(pi(2)*pi(6))*(pi(1)^2 - 3*pi(3)^2))*(5*pi(1) + 3*sqrt(pi(1)*pi(9)))"
+                " = (sqrt(pi(1)*pi(3))*(pi(2)^2 + 3*pi(6)^2))*(5*pi(1) + 3*sqrt(pi(1)*pi(9)))",
+                "inline\tPROVEN\t14\t72\t2\t169\t169",
+            ),
+        ],
+        ids=["two_radicals", "mutant", "sign_flipped", "three_radicals"],
+    )
+    def test_first_round_isolates_one_radical(self, dsl, line):
+        rep = prove(parse_identity(dsl))
+        assert rep.tsv_line() == line, rep.detail
+        if rep.verdict == "PROVEN":
+            assert {"squaring round isolating one radical", "one squaring round (radical elimination)"} <= set(
+                rep.certificate.citations
+            )
+
+    def test_first_round_needs_two_signatures_left(self):
+        # L12-3 times a sum over two more radicals: isolating any of the four
+        # leaves more than two signatures, so no round is tried.
+        p = "(1 + sqrt(pi(1)*pi(9)) + sqrt(pi(1)^2 + pi(2)^2))"
+        dsl = f"sqrt(pi(2)*pi(6))*(pi(1)^2 - 3*pi(3)^2)*{p} = sqrt(pi(1)*pi(3))*(pi(2)^2 + 3*pi(6)^2)*{p}"
+        rep = prove(parse_identity(dsl))
+        assert rep.verdict == "UNCERTIFIED"
+        assert rep.detail.startswith("radical signatures exceed one squaring round")
+
+
+class TestLiftedRadicalGrid:
+    """Radical corpus identities (and L12-1) times seeded sums over five
+    radicals, three over one Pi monomial and two over sums, with 30% of them
+    mutated in one coefficient on one side: a true identity is never
+    refuted, and a mutant never proven."""
+
+    BASES = (
+        ("L12-3", "sqrt(pi(2)*pi(6))*(pi(1)^2 - 3*pi(3)^2)",
+         "sqrt(pi(1)*pi(3))*(pi(2)^2 + 3*pi(6)^2)", (1, 2, 3, 6)),
+        ("L12-1", "pi(2)^2 + 2*pi(2)*pi(6)", "pi(1)*pi(3) + 3*pi(6)^2", (1, 2, 3, 6)),
+        ("L18-1", "pi(3)^2 + 3*pi(1)*pi(9)", "sqrt(pi(1)*pi(9))*(pi(1) + 3*pi(9))", (1, 3, 9)),
+    )
+    RADICALS = (
+        "sqrt(pi(1)*pi(3))", "sqrt(pi(2)*pi(6))", "sqrt(pi(1)*pi(9))",
+        "sqrt(pi(1)^2 + pi(2)^2)", "sqrt(pi(1)*pi(3) + pi(2)^2)",
+    )
+
+    @classmethod
+    def grid(cls, seed=24, per_base=40):
+        """(label, dsl) pairs; a mutant's label ends in -mut."""
+        rng = random.Random(seed)
+
+        def poly(terms):
+            return " + ".join(f"{c}*{m}" for c, m in terms)
+
+        for base, lhs, rhs, indices in cls.BASES:
+            for i in range(per_base):
+                p = []
+                for _ in range(rng.randint(2, 3)):
+                    parts = [f"pi({n})" for n in rng.sample(indices, rng.randint(0, 1))]
+                    parts += rng.sample(cls.RADICALS, rng.randint(0, 2))
+                    p.append((rng.randint(1, 5), "*".join(parts) or "1"))
+                if rng.random() < 0.3:
+                    q = list(p)
+                    k = rng.randrange(len(q))
+                    q[k] = (q[k][0] + 1, q[k][1])
+                    left, right = (q, p) if rng.random() < 0.5 else (p, q)
+                    yield f"{base}-{i}-mut", f"({lhs})*({poly(left)}) = ({rhs})*({poly(right)})"
+                else:
+                    yield f"{base}-{i}", f"({lhs})*({poly(p)}) = ({rhs})*({poly(p)})"
+
+    def test_sound_verdicts(self):
+        verdicts = collections.Counter()
+        for label, dsl in self.grid():
+            rep = prove(parse_identity(dsl, id=label))
+            forbidden = "PROVEN" if label.endswith("-mut") else "REFUTED"
+            assert rep.verdict != forbidden, (dsl, rep.detail)
+            verdicts[rep.verdict] += 1
+        # Every verdict the merging radical algebra reached still holds.
+        assert sum(verdicts.values()) == 120 and verdicts["PROVEN"] >= 23 and verdicts["REFUTED"] >= 12
 
 
 class TestPiWindow:
@@ -1052,35 +1191,30 @@ class TestSquaringRound:
             out.append(Term(F(rng.randint(-5, 5) or 1, rng.randint(1, 6)), PiMonomial.make(exps)))
         return ts_make(out)
 
-    def _radical(self, rng):
-        """(radical, composite): one over 1-4 terms, or the one a product of two builds."""
-        root = SqrtAtom(self._plain(rng, rng.randint(1, 4)))
-        if rng.random() < 0.4:
-            other = Term(F(1), PiMonomial.one(), (), (SqrtAtom(self._plain(rng, rng.randint(1, 3))),))
-            (prod,) = _term_mul(Term(F(1), PiMonomial.one(), (), (root,)), other)
-            if prod.sqrts:
-                return prod.sqrts[0], True
-        return root, False
+    def _signature(self, rng):
+        """One to three distinct radicals, each over 1-4 terms."""
+        radicands = {self._plain(rng, rng.randint(1, 4)) for _ in range(rng.choice((1, 1, 2, 3)))}
+        return tuple(sorted((SqrtAtom(r) for r in radicands if r), key=_key))
 
     def _group(self, rng):
-        root, composite = self._radical(rng)
+        sqrts = self._signature(rng)
         e2, e4 = E2Combo.make({1: -1, 2: 2}), E4Combo.make({1: 1, 3: -1})
         factors = [(), (), (e2,), (e4,), tuple(sorted((e2, e4), key=_key))]
         terms = []
         for _ in range(rng.randint(0, 8)):
             t = self._plain(rng, 1)
             if t:
-                terms.append(Term(t[0].coef, t[0].pi, rng.choice(factors), (root,)))
-        return ts_make(terms), composite
+                terms.append(Term(t[0].coef, t[0].pi, rng.choice(factors), sqrts))
+        return ts_make(terms), len(sqrts) > 1
 
     def test_seeded_groups(self):
         rng = random.Random(20261019)
         kinds = set()
         for _ in range(200):
-            g, composite = self._group(rng)
+            g, several = self._group(rng)
             assert _square_group(g) == ts_mul(g, g), g
-            if g:
-                kinds.add((composite, any(t.lamberts for t in g)))
+            if g and g[0].sqrts:
+                kinds.add((several, any(t.lamberts for t in g)))
         assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_empty_group(self):
